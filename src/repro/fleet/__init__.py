@@ -10,12 +10,6 @@ demands. See ``docs/fleet.md`` for the model and the checkpoint format.
 """
 
 from repro.fleet.checkpoint import CHECKPOINT_VERSION, CheckpointManager
-from repro.fleet.parallel import (
-    CampaignSharedMemory,
-    ParallelDayExecutor,
-    ShardPlan,
-    no_death_window,
-)
 from repro.fleet.population import (
     BUDGET_STREAM,
     TRAFFIC_STREAM,
@@ -31,6 +25,7 @@ from repro.fleet.service import (
     DISPATCH_POLICIES,
     FleetService,
     FleetSpec,
+    no_death_window,
     run_campaign,
 )
 from repro.fleet.survival import (
@@ -57,17 +52,14 @@ from repro.fleet.traffic import (
 __all__ = [
     "BUDGET_STREAM",
     "CHECKPOINT_VERSION",
-    "CampaignSharedMemory",
     "CheckpointManager",
     "CohortSpec",
     "DISPATCH_POLICIES",
     "FleetReport",
     "FleetService",
     "FleetSpec",
-    "ParallelDayExecutor",
     "Population",
     "PopulationSpec",
-    "ShardPlan",
     "SurvivalCurve",
     "TRAFFIC_MODELS",
     "TRAFFIC_STREAM",

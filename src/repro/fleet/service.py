@@ -45,13 +45,6 @@ from repro.engine.runner import ExperimentEngine, require_ok
 from repro.engine.spec import JobSpec
 from repro.engine.store import ResultStore
 from repro.fleet.checkpoint import CheckpointManager
-from repro.fleet.parallel import (
-    EVEN,
-    WORN,
-    WORN_FALLBACK,
-    ParallelDayExecutor,
-    no_death_window,
-)
 from repro.fleet.population import Population, PopulationSpec
 from repro.fleet.report import FleetReport
 from repro.fleet.survival import (
@@ -78,6 +71,55 @@ from repro.verify import VerificationError, verify_fleet_spec
 
 #: The recognized dispatch policies.
 DISPATCH_POLICIES = ("even", "least_worn")
+
+#: Safety margin for :func:`no_death_window`: thresholds are shrunk by
+#: this relative amount before the days-to-crossing division, which
+#: covers the worst-case accumulated rounding of up to ~1e6 consecutive
+#: float64 additions (k ulps after k adds, k * 2^-53 ~ 1.1e-10 at
+#: k = 1e6) with four orders of magnitude to spare.
+WINDOW_MARGIN = 1e-6
+
+#: Hard cap on a single no-death window, keeping the rounding-drift
+#: analysis behind :data:`WINDOW_MARGIN` trivially valid.
+MAX_WINDOW = 1_000_000
+
+
+def no_death_window(
+    thresholds: np.ndarray,
+    cumulative: np.ndarray,
+    death_day: np.ndarray,
+    per_day_max: np.ndarray,
+    horizon: int,
+) -> int:
+    """Days the campaign can advance with **no possible** death.
+
+    Each live array accumulates at most ``per_day_max`` iterations per
+    day (its capacity, optionally tightened by the day's known maximum
+    demand under deterministic traffic), so it cannot reach its death
+    threshold for at least ``floor((threshold * (1 - margin) -
+    cumulative) / per_day_max)`` days; the fleet-wide window is the
+    minimum over live arrays, clipped to ``horizon``. The margin makes
+    the bound robust to the rounding drift of repeated float64
+    accumulation, so *skipping the per-day crossing checks inside the
+    window is exact, not approximate* — the per-day loop could not have
+    retired any array on those days either.
+
+    Returns 0 when some live array might die within a day (callers fall
+    back to per-day stepping) and ``horizon`` when nothing is live.
+    """
+    if horizon <= 0:
+        return 0
+    alive = death_day < 0
+    if not alive.any():
+        return min(horizon, MAX_WINDOW)
+    gap = thresholds[alive] * (1.0 - WINDOW_MARGIN) - cumulative[alive]
+    rate = per_day_max[alive]
+    with np.errstate(divide="ignore"):
+        days = np.where(rate > 0, np.floor(gap / np.maximum(rate, 1e-300)), np.inf)
+    bound = float(days.min())
+    if not np.isfinite(bound):
+        return min(horizon, MAX_WINDOW)
+    return int(max(0, min(bound, horizon, MAX_WINDOW)))
 
 
 @dataclass(frozen=True)
@@ -111,13 +153,9 @@ class FleetSpec:
         fastforward: Calibrate cohorts through the analytic steady-state
             fast-forward when their configs are eligible (hash-excluded;
             bit-identical where accepted, refused via RPR011 otherwise).
-        fleet_workers: Worker processes for the day loop itself
-            (hash-excluded). Above 1, the loop runs through
-            :class:`~repro.fleet.parallel.ParallelDayExecutor` —
-            contiguous per-array shards over shared memory, with the
-            floating-point reductions folded in fixed shard order so the
-            report hash is bit-identical to the serial loop for any
-            worker count.
+        fleet_workers: Accepted for compatibility with callers that
+            still pass it (hash-excluded); the only valid value is 1.
+            The day loop always runs serially in-process.
         window: Maximum no-death window size in days (hash-excluded;
             0 disables window stepping). When a conservative bound
             proves no array can die for the next N ≥ 2 days, the loop
@@ -164,8 +202,12 @@ class FleetSpec:
                 f"backend must be 'numpy', 'cupy', or 'numba', "
                 f"got {self.backend!r}"
             )
-        if self.fleet_workers < 1:
-            raise ValueError("fleet_workers must be positive")
+        if self.fleet_workers != 1:
+            raise ValueError(
+                f"fleet_workers={self.fleet_workers} is not supported: the "
+                "parallel day loop was removed and the day loop is serial; "
+                "fleet_workers must be 1"
+            )
         if self.window < 0:
             raise ValueError("window must be non-negative")
 
@@ -398,13 +440,13 @@ class FleetService:
                 per_day[members] = np.minimum(per_day[members], cap)
         return per_day
 
-    def _advance_day_serial(
+    def _advance_day(
         self,
         state: _CampaignState,
         thresholds: np.ndarray,
         capacities: np.ndarray,
     ) -> int:
-        """One virtual day, in-process (the reference arithmetic)."""
+        """One virtual day: draw, split, dispatch, retire crossings."""
         spec = self.spec
         day_served = 0
         requests = draw_day(spec.traffic, state.traffic_state, state.rng)
@@ -436,69 +478,7 @@ class FleetService:
             state.death_day[crossed] = state.day
         return day_served
 
-    def _advance_day_parallel(
-        self, state: _CampaignState, executor: ParallelDayExecutor
-    ) -> int:
-        """One virtual day through the shard workers.
-
-        Even dispatch is a single phase (the parent already knows each
-        cohort's live count); ``least_worn`` first gathers the exact
-        shard-ordered headroom reduction, then advances with the two
-        scalars (live count, total headroom) the serial arithmetic
-        needs. Traffic draws, request bookkeeping, and the decision
-        structure (zero-request skip, extinct-cohort drop) stay in the
-        parent, mirroring the serial loop branch for branch.
-        """
-        spec = self.spec
-        cohorts = spec.population.cohorts
-        day_served = 0
-        requests = draw_day(spec.traffic, state.traffic_state, state.rng)
-        per_cohort = split_requests(
-            requests, spec.population.cohort_weights, state.rng
-        )
-        pending: Dict[int, int] = {}
-        for index in range(len(cohorts)):
-            cohort_requests = int(per_cohort[index])
-            if cohort_requests == 0:
-                continue
-            members = self.population.arrays_in_cohort(index)
-            if not (state.death_day[members] < 0).any():
-                state.dropped += cohort_requests
-                continue
-            pending[index] = cohort_requests
-        if not pending:
-            return 0
-        dispatches: Dict[int, tuple] = {}
-        if spec.dispatch == "least_worn":
-            gathered = executor.gather_headroom(tuple(pending))
-            for index, cohort_requests in pending.items():
-                total, n_alive = gathered[index]
-                demand = float(
-                    cohort_requests * cohorts[index].iterations_per_request
-                )
-                mode = WORN_FALLBACK if total <= 0 else WORN
-                dispatches[index] = (mode, demand, n_alive, total)
-        else:
-            for index, cohort_requests in pending.items():
-                members = self.population.arrays_in_cohort(index)
-                n_alive = int((state.death_day[members] < 0).sum())
-                demand = float(
-                    cohort_requests * cohorts[index].iterations_per_request
-                )
-                dispatches[index] = (EVEN, demand, n_alive, 0.0)
-        results = executor.advance_day(state.day, dispatches)
-        for index, cohort_requests in pending.items():
-            served_iters, _deaths = results[index]
-            ipr = cohorts[index].iterations_per_request
-            served_requests = min(
-                cohort_requests, int(served_iters // ipr)
-            )
-            state.served += served_requests
-            state.dropped += cohort_requests - served_requests
-            day_served += served_requests
-        return day_served
-
-    def _advance_window_serial(
+    def _advance_window(
         self,
         state: _CampaignState,
         window: int,
@@ -619,38 +599,6 @@ class FleetService:
         state.day += window
         return window_served
 
-    def _advance_window_parallel(
-        self,
-        state: _CampaignState,
-        window: int,
-        executor: ParallelDayExecutor,
-    ) -> int:
-        """A constant-allocation window through the shard workers.
-
-        Only reached for deterministic single-cohort even dispatch (no
-        RNG is consumed), where the whole window is one worker command:
-        each shard applies ``window`` repeated compact additions and the
-        parent folds the constant per-day allocation total once.
-        """
-        spec = self.spec
-        cohort = spec.population.cohorts[0]
-        cohort_requests = int(round(spec.traffic.rate))
-        members = self.population.arrays_in_cohort(0)
-        n_alive = int((state.death_day[members] < 0).sum())
-        state.day += window
-        if cohort_requests == 0:
-            return 0
-        if n_alive == 0:
-            state.dropped += cohort_requests * window
-            return 0
-        ipr = cohort.iterations_per_request
-        demand = float(cohort_requests * ipr)
-        served_iters = executor.advance_window(window, {0: (demand, n_alive)})[0]
-        served_requests = min(cohort_requests, int(served_iters // ipr))
-        state.served += served_requests * window
-        state.dropped += (cohort_requests - served_requests) * window
-        return served_requests * window
-
     def run(
         self,
         stop_after_day: Optional[int] = None,
@@ -681,10 +629,10 @@ class FleetService:
         start_wall = time.perf_counter()
         tele = get_telemetry()
 
-        # Static whole-campaign verification before any day runs: shard
-        # disjointness and race freedom, window-bound soundness, RNG
-        # stream discipline, cohort config validity. Memoized per
-        # campaign shape, so resumed/repeated runs pay it once.
+        # Static whole-campaign verification before any day runs:
+        # window-bound soundness, RNG stream discipline, cohort config
+        # validity. Memoized per campaign shape, so resumed/repeated runs
+        # pay it once.
         verification = verify_fleet_spec(spec)
         if verification.errors:
             tele.count("fleet.rejected")
@@ -729,133 +677,71 @@ class FleetService:
             cohorts=len(cohorts),
             start_day=state.day,
         )
-        numpy_math = self._xp is np
-        if spec.fleet_workers > 1 and not numpy_math:
-            raise ValueError(
-                "fleet_workers > 1 requires numpy day-loop math; backend "
-                f"{spec.backend!r} is active and not delegating to numpy"
-            )
-        executor: Optional[ParallelDayExecutor] = None
-        worker_timers: List[Dict] = []
-        shards = 1
         windows = 0
         window_days = 0
         checkpoints_written = 0
-        # The only window shape the parallel protocol batches is the
-        # constant-allocation one (deterministic traffic, one cohort,
-        # even dispatch); other shapes step per-day under parallel
-        # execution, windowed or not.
-        constant_eligible = (
-            spec.traffic.model == "deterministic"
-            and len(cohorts) == 1
-            and spec.dispatch == "even"
-        )
         per_day_max = self._per_day_max(capacities)
-        try:
-            if spec.fleet_workers > 1 and self.population.n_arrays > 1:
-                executor = ParallelDayExecutor(
-                    cohort_index=self.population.cohort_index,
-                    thresholds=thresholds,
-                    capacities=capacities,
-                    cumulative=state.cumulative,
-                    death_day=state.death_day,
-                    workers=spec.fleet_workers,
+        with tele.timed_phase("fleet.advance"):
+            while state.day < last_day:
+                bound = 0
+                if spec.window >= 2 and self._xp is np:
+                    bound = no_death_window(
+                        thresholds,
+                        state.cumulative,
+                        state.death_day,
+                        per_day_max,
+                        last_day - state.day,
+                    )
+                    bound = min(bound, spec.window)
+                    if self.checkpoints is not None and self.checkpoint_every:
+                        # A window never crosses a checkpoint boundary, so
+                        # cadenced checkpoints land on the same days as
+                        # per-day stepping.
+                        bound = min(
+                            bound,
+                            self.checkpoint_every
+                            - state.day % self.checkpoint_every,
+                        )
+                if bound >= 2:
+                    day_served = self._advance_window(
+                        state, bound, thresholds, capacities
+                    )
+                    windows += 1
+                    window_days += bound
+                    alive_now = int((state.death_day < 0).sum())
+                    tele.count("fleet.days", bound)
+                    tele.count("fleet.windows")
+                    tele.count("fleet.window_days", bound)
+                    tele.emit(
+                        "fleet_window",
+                        day=state.day,
+                        days=bound,
+                        alive=alive_now,
+                        served=day_served,
+                    )
+                else:
+                    state.day += 1
+                    day_served = self._advance_day(
+                        state, thresholds, capacities
+                    )
+                    alive_now = int((state.death_day < 0).sum())
+                    tele.count("fleet.days")
+                    tele.emit(
+                        "fleet_day",
+                        day=state.day,
+                        alive=alive_now,
+                        served=day_served,
+                    )
+                at_boundary = (
+                    self.checkpoint_every
+                    and state.day % self.checkpoint_every == 0
                 )
-                # The campaign state now *is* the shared block: workers
-                # mutate it in place, and checkpoints/reports read it
-                # through these views with no copy-out step.
-                state.cumulative = executor.cumulative
-                state.death_day = executor.death_day
-                shards = executor.n_shards
-                tele.gauge("fleet.shards", executor.n_shards)
-            with tele.timed_phase("fleet.advance"):
-                while state.day < last_day:
-                    bound = 0
-                    if spec.window >= 2 and numpy_math and (
-                        executor is None or constant_eligible
-                    ):
-                        bound = no_death_window(
-                            thresholds,
-                            state.cumulative,
-                            state.death_day,
-                            per_day_max,
-                            last_day - state.day,
-                        )
-                        bound = min(bound, spec.window)
-                        if (
-                            self.checkpoints is not None
-                            and self.checkpoint_every
-                        ):
-                            # A window never crosses a checkpoint
-                            # boundary, so cadenced checkpoints land on
-                            # the same days as per-day stepping.
-                            bound = min(
-                                bound,
-                                self.checkpoint_every
-                                - state.day % self.checkpoint_every,
-                            )
-                    if bound >= 2:
-                        if executor is not None:
-                            day_served = self._advance_window_parallel(
-                                state, bound, executor
-                            )
-                        else:
-                            day_served = self._advance_window_serial(
-                                state, bound, thresholds, capacities
-                            )
-                        windows += 1
-                        window_days += bound
-                        alive_now = int((state.death_day < 0).sum())
-                        tele.count("fleet.days", bound)
-                        tele.count("fleet.windows")
-                        tele.count("fleet.window_days", bound)
-                        tele.emit(
-                            "fleet_window",
-                            day=state.day,
-                            days=bound,
-                            alive=alive_now,
-                            served=day_served,
-                        )
-                    else:
-                        state.day += 1
-                        if executor is not None:
-                            day_served = self._advance_day_parallel(
-                                state, executor
-                            )
-                        else:
-                            day_served = self._advance_day_serial(
-                                state, thresholds, capacities
-                            )
-                        alive_now = int((state.death_day < 0).sum())
-                        tele.count("fleet.days")
-                        tele.emit(
-                            "fleet_day",
-                            day=state.day,
-                            alive=alive_now,
-                            served=day_served,
-                        )
-                    at_boundary = (
-                        self.checkpoint_every
-                        and state.day % self.checkpoint_every == 0
-                    )
-                    at_stop = (
-                        stop_after_day is not None and state.day == last_day
-                    )
-                    if self.checkpoints is not None and (
-                        at_boundary or at_stop
-                    ):
-                        self.checkpoints.save(state.day, state.to_json())
-                        checkpoints_written += 1
-                        tele.count("fleet.checkpoints")
-                        tele.emit("fleet_checkpoint", day=state.day)
-        finally:
-            if executor is not None:
-                # Detach the campaign state from the shared block before
-                # the workers and the memory go away.
-                state.cumulative = state.cumulative.copy()
-                state.death_day = state.death_day.copy()
-                executor.close()
-                worker_timers = executor.worker_timers
+                at_stop = stop_after_day is not None and state.day == last_day
+                if self.checkpoints is not None and (at_boundary or at_stop):
+                    self.checkpoints.save(state.day, state.to_json())
+                    checkpoints_written += 1
+                    tele.count("fleet.checkpoints")
+                    tele.emit("fleet_checkpoint", day=state.day)
 
         if stop_after_day is not None and state.day < spec.days:
             return None
@@ -867,11 +753,8 @@ class FleetService:
             resumed_from_day=resumed_from,
             checkpoints_written=checkpoints_written,
             calibration_statuses=calibration["statuses"],
-            fleet_workers=spec.fleet_workers,
-            shards=shards,
             windows=windows,
             window_days=window_days,
-            worker_timers=worker_timers,
         )
         report = replace(report, runtime=runtime)
         tele.count("fleet.deaths", report.n_deaths)

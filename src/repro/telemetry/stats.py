@@ -73,7 +73,6 @@ KNOWN_COUNTERS: frozenset = frozenset(
         "fleet.days",
         "fleet.deaths",
         "fleet.rejected",
-        "fleet.shards",
         "fleet.window_days",
         "fleet.windows",
         "kernel.chunk_size",

@@ -3,15 +3,14 @@
 Checks programs, configurations, and now whole campaigns without
 executing them: an IR dataflow pass over the lane-program instruction
 stream, a hazard pass over the compiled gate levels, a wear-invariant
-pass over profiles, permutations, and schedules, a concurrency pass
-proving the parallel fleet's shard plan race-free
-(:mod:`~repro.verify.concurrency`), an RNG stream-discipline pass
-(:mod:`~repro.verify.streams`), versioned artifact schema validation
-(:mod:`~repro.verify.schemas`), and an AST self-lint over the repo's
-own invariants (:mod:`~repro.verify.lint`). Findings carry stable
-``RPR0xx`` codes and render as text or JSON; the ``repro-endurance
-verify`` CLI subcommand and the simulator/engine/fleet pre-dispatch
-hooks are built on these entry points.
+pass over profiles, permutations, and schedules, a soundness check of
+the fleet's no-death window bound (:mod:`~repro.verify.window`), an
+RNG stream-discipline pass (:mod:`~repro.verify.streams`), versioned
+artifact schema validation (:mod:`~repro.verify.schemas`), and an AST
+self-lint over the repo's own invariants (:mod:`~repro.verify.lint`).
+Findings carry stable ``RPR0xx`` codes and render as text or JSON; the
+``repro-endurance verify`` CLI subcommand and the simulator/engine/fleet
+pre-dispatch hooks are built on these entry points.
 """
 
 from repro.verify.api import (
@@ -23,13 +22,6 @@ from repro.verify.api import (
     verify_program,
     verify_self,
     verify_spec,
-)
-from repro.verify.concurrency import (
-    RegionAccess,
-    check_shard_plan,
-    check_shard_races,
-    check_window_bound,
-    executor_access_plan,
 )
 from repro.verify.dataflow import (
     check_bounds,
@@ -63,13 +55,13 @@ from repro.verify.wear import (
     check_profile_conservation,
     check_schedule,
 )
+from repro.verify.window import check_window_bound
 
 __all__ = [
     "CODES",
     "Diagnostic",
     "FUNCTIONAL_CODES",
     "Location",
-    "RegionAccess",
     "Severity",
     "VerificationError",
     "VerifyReport",
@@ -85,14 +77,11 @@ __all__ = [
     "check_permutation_rows",
     "check_profile_conservation",
     "check_schedule",
-    "check_shard_plan",
-    "check_shard_races",
     "check_stream_keys",
     "check_streams",
     "check_trace",
     "check_window_bound",
     "derive_stream_keys",
-    "executor_access_plan",
     "self_lint",
     "verify_fleet_spec",
     "verify_mapping",

@@ -105,3 +105,45 @@ class TestFunctionalSanity:
         }
         outputs, _ = evaluate_networked(programs, operands, order)
         assert outputs[0]["sum"] == int(np.dot(a, b))
+
+
+class TestSettingsPath:
+    """The cluster runs through :class:`SimulationSettings`, not the
+    deprecated per-kwarg aliases, and reproduces their wear exactly."""
+
+    #: SHA-256 over the four arrays' write counts (RaxRa, seed 5, 100
+    #: iterations on 128x128), as produced by the legacy-kwarg path.
+    PINNED = {
+        False: "514f3ff0c542b788eb43e6e494e7a7bb"
+        "3e03474eebe32fd1e1b9137c0e559052",
+        True: "49e47a6e546d5f612eceedf1edd1e06f"
+        "bb9d2f157789b6261ef2b403a1bd5458",
+    }
+
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_no_deprecation_and_unchanged_wear(
+        self, small_arch, cluster, rotate
+    ):
+        import hashlib
+        import warnings
+
+        from repro.core.settings import reset_deprecation_latch
+
+        reset_deprecation_latch()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                result = cluster.run(
+                    small_arch,
+                    BalanceConfig.from_label("RaxRa"),
+                    iterations=100,
+                    rotate_aggregator=rotate,
+                    seed=5,
+                )
+        finally:
+            reset_deprecation_latch()
+        digest = hashlib.sha256()
+        for array in result.results:
+            digest.update(np.ascontiguousarray(array.state.write_counts))
+            assert not array.state.read_counts.any()
+        assert digest.hexdigest() == self.PINNED[rotate]

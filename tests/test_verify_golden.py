@@ -5,6 +5,8 @@ program/config/schedule whose diagnostic code, severity, and location
 are asserted exactly — the codes are append-only public contract.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -36,8 +38,6 @@ from repro.verify import (
     check_permutation_rows,
     check_profile_conservation,
     check_schedule,
-    check_shard_plan,
-    check_shard_races,
     check_stream_keys,
     check_trace,
     check_window_bound,
@@ -397,12 +397,13 @@ class TestRegistryAppendOnly:
         ("RPR011", "configuration not eligible for steady-state fast-forward"),
         (
             "RPR012",
-            "shard plan is not a disjoint exact cover of the population",
+            "retired: shard plan is not a disjoint exact cover of the "
+            "population",
         ),
         (
             "RPR013",
-            "plan-level race: overlapping worker write regions or a "
-            "parent reduction reading outside fixed shard offsets",
+            "retired: plan-level race: overlapping worker write regions "
+            "or a parent reduction reading outside fixed shard offsets",
         ),
         ("RPR014", "no-death window bound is unsound for this spec"),
         ("RPR015", "seeded RNG substream key collision or reuse"),
@@ -422,74 +423,19 @@ class TestRegistryAppendOnly:
             f"RPR{i:03d}" for i in range(1, len(CODES) + 1)
         ]
 
+    def test_retired_codes_are_never_emitted(self):
+        import repro
 
-class TestRPR012ShardPlan:
-    def _plan(self, n, bounds):
-        from repro.fleet import ShardPlan
-
-        return ShardPlan(n_arrays=n, bounds=tuple(bounds))
-
-    def test_gap_between_shards(self):
-        diagnostics = check_shard_plan(self._plan(8, [(0, 3), (5, 8)]))
-        (d,) = diagnostics
-        assert d.code == "RPR012"
-        assert d.severity is Severity.ERROR
-        assert "arrays [3, 5) are covered by no shard" in d.message
-
-    def test_overlap_between_shards(self):
-        diagnostics = check_shard_plan(self._plan(8, [(0, 5), (4, 8)]))
-        (d,) = diagnostics
-        assert d.code == "RPR012"
-        assert "covered by more than one shard" in d.message
-
-    def test_out_of_range_bounds(self):
-        diagnostics = check_shard_plan(self._plan(8, [(0, 4), (4, 9)]))
-        codes = [d.code for d in diagnostics]
-        # the bad bound itself, plus the trailing [4, 8) left uncovered
-        assert codes == ["RPR012", "RPR012"]
-
-    def test_trailing_gap(self):
-        (d,) = check_shard_plan(self._plan(8, [(0, 6)]))
-        assert d.code == "RPR012"
-        assert "arrays [6, 8)" in d.message
-
-    def test_built_plans_are_exact_covers(self):
-        from repro.fleet import ShardPlan
-
-        for n, workers in [(1, 1), (8, 3), (512, 8), (7, 16)]:
-            assert check_shard_plan(ShardPlan.build(n, workers)) == []
-
-
-class TestRPR013ShardRaces:
-    def _plan(self, n, bounds):
-        from repro.fleet import ShardPlan
-
-        return ShardPlan(n_arrays=n, bounds=tuple(bounds))
-
-    def test_overlapping_writes_race_every_written_region(self):
-        diagnostics = check_shard_races(self._plan(8, [(0, 5), (4, 8)]))
-        assert diagnostics
-        assert all(d.code == "RPR013" for d in diagnostics)
-        # cumulative is written in both the advance and window steps
-        places = {d.location.place for d in diagnostics}
-        assert "step 'advance', region 'cumulative'" in places
-
-    def test_gap_plan_has_no_race(self):
-        # A gap is a coverage bug (RPR012) but races nothing: the
-        # intervals stay disjoint, so the race detector must stay quiet.
-        assert check_shard_races(self._plan(8, [(0, 3), (5, 8)])) == []
-
-    def test_unsorted_bounds_break_fold_order(self):
-        diagnostics = check_shard_races(self._plan(8, [(4, 8), (0, 4)]))
-        (d,) = diagnostics
-        assert d.code == "RPR013"
-        assert "out of ascending order" in d.message
-        assert d.location.place == "fold, shard 1"
-
-    def test_balanced_plan_is_race_free(self):
-        from repro.fleet import ShardPlan
-
-        assert check_shard_races(ShardPlan.build(512, 8), n_cohorts=2) == []
+        retired = [code for code, msg in CODES.items()
+                   if msg.startswith("retired:")]
+        assert retired == ["RPR012", "RPR013"]
+        root = Path(repro.__file__).parent
+        for path in root.rglob("*.py"):
+            if path.name == "diagnostics.py":
+                continue
+            text = path.read_text(encoding="utf-8")
+            for code in retired:
+                assert code not in text, f"{path} mentions {code}"
 
 
 class TestRPR014WindowBound:
