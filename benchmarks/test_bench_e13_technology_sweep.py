@@ -8,6 +8,7 @@ array lasts ~35 days; at RRAM's 1e8 it lasts minutes. The simulated
 from repro.array.architecture import default_architecture
 from repro.balance.config import BalanceConfig
 from repro.core.report import format_lifetimes, format_table
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.core.sweep import technology_sweep
 from repro.devices.technology import MRAM, PCM, RRAM, RRAM_OPTIMISTIC
@@ -17,12 +18,13 @@ from conftest import bench_iterations
 
 
 def test_bench_e13_technology_sweep(benchmark, record):
-    simulator = EnduranceSimulator(default_architecture(), seed=7)
+    simulator = EnduranceSimulator(
+        default_architecture(), SimulationSettings(seed=7, track_reads=False)
+    )
     result = simulator.run(
         ParallelMultiplication(bits=32),
         BalanceConfig(),
         iterations=bench_iterations(1_000),
-        track_reads=False,
     )
 
     sweep = benchmark.pedantic(

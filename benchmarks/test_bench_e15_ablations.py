@@ -17,6 +17,7 @@ from repro.array.architecture import default_architecture
 from repro.balance.config import BalanceConfig
 from repro.core.lifetime import lifetime_from_result, lifetime_improvement
 from repro.core.report import format_table
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.synth.bits import AllocationPolicy
 from repro.workloads.multiply import ParallelMultiplication
@@ -25,15 +26,17 @@ from conftest import bench_iterations
 
 
 def _improvement(workload, iterations, label="RaxSt+Hw", seed=7):
-    simulator = EnduranceSimulator(default_architecture(), seed=seed)
+    simulator = EnduranceSimulator(
+        default_architecture(),
+        SimulationSettings(seed=seed, track_reads=False),
+    )
     base = simulator.run(
-        workload, BalanceConfig(), iterations=iterations, track_reads=False
+        workload, BalanceConfig(), iterations=iterations
     )
     balanced = simulator.run(
         workload,
         BalanceConfig.from_label(label).with_interval(50),
         iterations=iterations,
-        track_reads=False,
     )
     return lifetime_improvement(balanced, base)
 
@@ -109,7 +112,7 @@ def test_bench_e15_workspace_size(benchmark, record):
 @pytest.mark.parametrize("size", [256, 512, 1024])
 def test_bench_e15_array_size(benchmark, record, size):
     simulator = EnduranceSimulator(
-        default_architecture(size, size), seed=7
+        default_architecture(size, size), SimulationSettings(seed=7)
     )
     result = benchmark.pedantic(
         simulator.run,

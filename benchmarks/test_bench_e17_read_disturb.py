@@ -13,6 +13,7 @@ from repro.array.architecture import default_architecture
 from repro.balance.config import BalanceConfig
 from repro.core.lifetime import lifetime_from_result, lifetime_with_read_wear
 from repro.core.report import format_table
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.workloads.multiply import ParallelMultiplication
 
@@ -22,12 +23,13 @@ RATIOS = (0.0, 1e-6, 1e-4, 1e-2, 1e-1)
 
 
 def test_bench_e17_read_disturb(benchmark, record):
-    simulator = EnduranceSimulator(default_architecture(), seed=7)
+    simulator = EnduranceSimulator(
+        default_architecture(), SimulationSettings(seed=7, track_reads=True)
+    )
     result = simulator.run(
         ParallelMultiplication(bits=32),
         BalanceConfig(),
         iterations=bench_iterations(1_000),
-        track_reads=True,
     )
     baseline = lifetime_from_result(result)
 

@@ -19,6 +19,7 @@ from repro.array.architecture import default_architecture
 from repro.balance.config import BalanceConfig
 from repro.core.lifetime import lifetime_from_result
 from repro.core.report import format_table
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.gates.library import (
     MAJ_LIBRARY,
@@ -43,9 +44,9 @@ def test_bench_e18_gate_libraries(benchmark, record):
         out = {}
         for library in LIBRARIES:
             arch = replace(base, library=library, name=f"pim-{library.name}")
-            result = EnduranceSimulator(arch, seed=7).run(
-                workload, BalanceConfig(), iterations, track_reads=False
-            )
+            result = EnduranceSimulator(
+                arch, SimulationSettings(seed=7, track_reads=False)
+            ).run(workload, BalanceConfig(), iterations)
             out[library.name] = (
                 multiplier_counts(32, library),
                 lifetime_from_result(result),

@@ -15,6 +15,7 @@ from repro.balance.config import BalanceConfig
 from repro.balance.software import StrategyKind
 from repro.core.lifetime import lifetime_improvement
 from repro.core.report import format_table
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.workloads.convolution import Convolution
 
@@ -22,14 +23,14 @@ from conftest import bench_iterations
 
 
 def test_bench_e20_shift_granularity(benchmark, record):
-    simulator = EnduranceSimulator(default_architecture(), seed=7)
+    simulator = EnduranceSimulator(
+        default_architecture(), SimulationSettings(seed=7, track_reads=False)
+    )
     workload = Convolution()
     iterations = bench_iterations(2_000)
 
     def run_all():
-        base = simulator.run(
-            workload, BalanceConfig(), iterations, track_reads=False
-        )
+        base = simulator.run(workload, BalanceConfig(), iterations)
         out = {"StxSt": 1.0}
         for label, between in (
             ("StxBs (byte shift, paper)", StrategyKind.BYTE_SHIFT),
@@ -40,7 +41,6 @@ def test_bench_e20_shift_granularity(benchmark, record):
                 workload,
                 BalanceConfig(between=between),
                 iterations,
-                track_reads=False,
             )
             out[label] = lifetime_improvement(result, base)
         return out

@@ -13,6 +13,7 @@ from repro.array.architecture import default_architecture
 from repro.balance.config import BalanceConfig
 from repro.core.lifetime import lifetime_from_result
 from repro.core.report import format_table
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.core.system import ArrayFarm, lifetime_at_duty_cycle
 from repro.workloads.multiply import ParallelMultiplication
@@ -23,12 +24,13 @@ DUTY_CYCLES = (1.0, 0.1, 0.01, 0.001)
 
 
 def test_bench_e22_duty_cycle(benchmark, record):
-    simulator = EnduranceSimulator(default_architecture(), seed=7)
+    simulator = EnduranceSimulator(
+        default_architecture(), SimulationSettings(seed=7, track_reads=False)
+    )
     result = simulator.run(
         ParallelMultiplication(bits=32),
         BalanceConfig(),
         iterations=bench_iterations(500),
-        track_reads=False,
     )
     estimate = lifetime_from_result(result)
 
@@ -66,12 +68,13 @@ def test_bench_e22_duty_cycle(benchmark, record):
 
 
 def test_bench_e22_array_farm(benchmark, record):
-    simulator = EnduranceSimulator(default_architecture(), seed=7)
+    simulator = EnduranceSimulator(
+        default_architecture(), SimulationSettings(seed=7, track_reads=False)
+    )
     result = simulator.run(
         ParallelMultiplication(bits=32),
         BalanceConfig(),
         iterations=bench_iterations(500),
-        track_reads=False,
     )
     estimate = lifetime_from_result(result)
 

@@ -11,6 +11,7 @@ from repro.array.architecture import default_architecture
 from repro.balance.config import BalanceConfig
 from repro.core.lifetime import lifetime_from_result
 from repro.core.report import format_table
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.workloads.bnn import BinaryNeuron
 from repro.workloads.convolution import Convolution
@@ -37,9 +38,11 @@ def test_bench_e24_workload_spectrum(benchmark, record):
     def run_all():
         out = {}
         for workload in workloads:
-            simulator = EnduranceSimulator(architecture, seed=7)
+            simulator = EnduranceSimulator(
+                architecture, SimulationSettings(seed=7, track_reads=False)
+            )
             result = simulator.run(
-                workload, BalanceConfig(), iterations, track_reads=False
+                workload, BalanceConfig(), iterations
             )
             out[workload.name] = (
                 result.mapping,

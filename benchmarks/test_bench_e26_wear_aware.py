@@ -15,6 +15,7 @@ from repro.balance.config import BalanceConfig
 from repro.balance.software import StrategyKind
 from repro.core.lifetime import lifetime_improvement
 from repro.core.report import format_table
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.workloads.convolution import Convolution
 from repro.workloads.dotproduct import DotProduct
@@ -40,14 +41,17 @@ def test_bench_e26_wear_aware(benchmark, record):
     def run_all():
         out = {}
         for workload_name, workload in WORKLOADS.items():
-            simulator = EnduranceSimulator(default_architecture(), seed=7)
+            simulator = EnduranceSimulator(
+                default_architecture(),
+                SimulationSettings(seed=7, track_reads=False),
+            )
             base = simulator.run(
-                workload, BalanceConfig(), iterations, track_reads=False
+                workload, BalanceConfig(), iterations
             )
             out[workload_name] = {
                 label: lifetime_improvement(
                     simulator.run(
-                        workload, config, iterations, track_reads=False
+                        workload, config, iterations
                     ),
                     base,
                 )

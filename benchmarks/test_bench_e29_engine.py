@@ -26,6 +26,7 @@ import numpy as np
 
 from conftest import bench_iterations
 from repro.array.architecture import default_architecture
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.core.sweep import configuration_grid
 from repro.workloads.multiply import ParallelMultiplication
@@ -36,7 +37,9 @@ def _iterations() -> int:
 
 
 def _grid(**engine_kwargs):
-    simulator = EnduranceSimulator(default_architecture(), seed=7)
+    simulator = EnduranceSimulator(
+        default_architecture(), SimulationSettings(seed=7)
+    )
     workload = ParallelMultiplication(bits=32)
     start = time.perf_counter()
     entries = configuration_grid(

@@ -23,6 +23,7 @@ import numpy as np
 from conftest import bench_iterations
 from repro.array.architecture import default_architecture
 from repro.balance.config import BalanceConfig
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.workloads.multiply import ParallelMultiplication
 
@@ -37,7 +38,7 @@ def _iterations() -> int:
 
 def _run(kernel: str):
     simulator = EnduranceSimulator(
-        default_architecture(), seed=7, kernel=kernel
+        default_architecture(), SimulationSettings(seed=7, kernel=kernel)
     )
     workload = ParallelMultiplication(bits=32)
     config = BalanceConfig.from_label("RaxRa", recompile_interval=1)

@@ -1,8 +1,9 @@
-"""E34 — backend seam and analytic steady-state fast-forward.
+"""E34 — scratch pool and analytic steady-state fast-forward.
 
-Not a paper figure — the infrastructure benchmark for PR 7's perf work
-(``repro.core.backend`` + ``repro.core.fastforward``), extending the
-E30 (batched kernel) and E32 (compiled evaluator) speed trajectory.
+Not a paper figure — the infrastructure benchmark for the fast-forward
+(``repro.core.fastforward``) and the scratch pool
+(``repro.core.scratch``), extending the E30 (batched kernel) and E32
+(compiled evaluator) speed trajectory.
 
 Three claims are measured:
 
@@ -34,8 +35,8 @@ import numpy as np
 from conftest import bench_iterations
 from repro.array.architecture import default_architecture
 from repro.balance.config import BalanceConfig
-from repro.core.backend import get_backend
 from repro.core.fastforward import fastforward_period
+from repro.core.scratch import SCRATCH_POOL
 from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.workloads.multiply import ParallelMultiplication
@@ -104,7 +105,7 @@ def test_bench_e34_backend_fastforward(record, results_dir):
 
     # Warm-path micro-benchmark: the second batched run reuses pooled
     # scratch instead of allocating per chunk.
-    pool = get_backend("numpy").pool
+    pool = SCRATCH_POOL
     warm_iterations = 20_000
     _run(warm_iterations, fastforward=False)  # populate the pool
     hits_before = pool.hits
@@ -147,7 +148,7 @@ def test_bench_e34_backend_fastforward(record, results_dir):
     )
 
     lines = [
-        f"E34 backend seam + steady-state fast-forward, mult-8b BsxBs "
+        f"E34 scratch pool + steady-state fast-forward, mult-8b BsxBs "
         f"interval=1 ({iterations} iterations, {ROWS}x{COLS})",
         f"  joint wear period          {period:8d} epochs",
         f"  batched GEMM     {slow_s:8.2f} s  "

@@ -24,6 +24,7 @@ from repro import (
     BalanceConfig,
     EnduranceSimulator,
     ParallelMultiplication,
+    SimulationSettings,
     default_architecture,
     failure_timeline,
     lifetime_from_result,
@@ -75,10 +76,12 @@ def main() -> None:
           f"endurance model buys {profile.lifetime_factor:.2f}x")
 
     print("\n4) Fault-aware repacking (lognormal endurance, sigma 0.5)")
-    simulator = EnduranceSimulator(architecture, seed=3)
+    simulator = EnduranceSimulator(
+        architecture, SimulationSettings(seed=3, track_reads=False)
+    )
     result = simulator.run(
         workload, BalanceConfig.from_label("RaxSt+Hw"),
-        iterations=ITERATIONS, track_reads=False,
+        iterations=ITERATIONS,
     )
     required = minimum_footprint(workload, architecture)
     timeline = failure_timeline(

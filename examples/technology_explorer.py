@@ -14,8 +14,9 @@ from repro import (
     EnduranceSimulator,
     MRAM,
     PCM,
-    RRAM,
     ParallelMultiplication,
+    RRAM,
+    SimulationSettings,
     default_architecture,
     eq1_operations_until_total_failure,
     eq2_seconds_until_total_failure,
@@ -45,10 +46,12 @@ def main() -> None:
               f"{eq2 / 86400:.3f} days")
 
     print("\nSimulated first-cell-failure lifetimes (Eq. 4, static layout):")
-    simulator = EnduranceSimulator(architecture, seed=7)
+    simulator = EnduranceSimulator(
+        architecture, SimulationSettings(seed=7, track_reads=False)
+    )
     result = simulator.run(
         ParallelMultiplication(bits=32), BalanceConfig(),
-        iterations=ITERATIONS, track_reads=False,
+        iterations=ITERATIONS,
     )
     print(format_lifetimes(technology_sweep(result, [MRAM, RRAM, PCM])))
 

@@ -17,6 +17,7 @@ from repro import (
     DotProduct,
     EnduranceSimulator,
     ParallelMultiplication,
+    SimulationSettings,
     configuration_grid,
     default_architecture,
     remap_frequency_sweep,
@@ -41,7 +42,9 @@ def main(argv) -> None:
     if key not in WORKLOADS:
         raise SystemExit(f"unknown workload {key!r}; pick from {sorted(WORKLOADS)}")
     workload = WORKLOADS[key]()
-    simulator = EnduranceSimulator(default_architecture(), seed=7)
+    simulator = EnduranceSimulator(
+        default_architecture(), SimulationSettings(seed=7)
+    )
 
     print(f"Simulating {workload.describe()} under 18 configurations "
           f"({ITERATIONS} iterations each)...\n")

@@ -31,18 +31,6 @@ class ArrayState:
         self.read_counts = np.zeros(shape, dtype=np.float64)
         self.failed = np.zeros(shape, dtype=bool)
         self._scratch: "np.ndarray | None" = None
-        self._backend = None
-
-    def set_backend(self, backend) -> None:
-        """Route bulk accumulation through an array backend.
-
-        ``backend`` is a :class:`repro.core.backend.Backend` (or ``None``
-        to restore plain numpy). The numpy backend delegates every op to
-        :mod:`numpy` unchanged, so results are backend-independent; a
-        device backend runs the GEMM on its own arrays and lands the
-        (exact integer-valued) product back in the host counters.
-        """
-        self._backend = backend
 
     def _scratch_buffer(self) -> np.ndarray:
         """A reusable full-array float64 workspace.
@@ -93,7 +81,6 @@ class ArrayState:
         state.read_counts = read_counts
         state.failed = np.broadcast_to(np.bool_(False), shape)
         state._scratch = None
-        state._backend = None
         return state
 
     # -- single-cell events (exact replay path) -------------------------
@@ -200,18 +187,13 @@ class ArrayState:
                 f"{self.geometry.lane_count(orientation)}"
             )
         target = self._target(kind)
-        backend = self._backend
         if orientation is Orientation.COLUMN_PARALLEL:
             a, b = offset_profiles.T, lane_weights
         else:
             a, b = lane_weights.T, offset_profiles
-        if backend is None or backend.is_numpy:
-            scratch = self._scratch_buffer()
-            np.matmul(a, b, out=scratch)
-            target += scratch
-        else:
-            product = backend.gemm(backend.asarray(a), backend.asarray(b))
-            target += backend.to_numpy(product)
+        scratch = self._scratch_buffer()
+        np.matmul(a, b, out=scratch)
+        target += scratch
 
     def _target(self, kind: str) -> np.ndarray:
         if kind == "write":

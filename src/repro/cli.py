@@ -56,7 +56,6 @@ from repro.core.report import (
     format_table2,
     format_table3,
 )
-from repro.core.backend import BACKENDS
 from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.verify import VerificationError
@@ -117,16 +116,18 @@ def _make_workload(name: str):
 
 def _make_settings(args) -> SimulationSettings:
     """The :class:`SimulationSettings` described by the parsed flags."""
-    return SimulationSettings(
-        seed=args.seed,
-        kernel=getattr(args, "kernel", "batched"),
-        chunk_size=getattr(args, "chunk_size", None),
-        backend=getattr(args, "backend", "numpy"),
-        fastforward=getattr(args, "fast_forward", False),
-        log_level=getattr(args, "log_level", None),
-        trace_path=getattr(args, "trace", None),
-        progress=getattr(args, "progress", False),
-    )
+    try:
+        return SimulationSettings(
+            seed=args.seed,
+            kernel=getattr(args, "kernel", "batched"),
+            chunk_size=getattr(args, "chunk_size", None),
+            fastforward=getattr(args, "fast_forward", False),
+            log_level=getattr(args, "log_level", None),
+            trace_path=getattr(args, "trace", None),
+            progress=getattr(args, "progress", False),
+        )
+    except ValueError as exc:
+        raise SystemExit(f"repro-endurance: error: {exc}") from None
 
 
 def _make_simulator(args) -> EnduranceSimulator:
@@ -189,11 +190,6 @@ def _add_sim_flags(parser) -> None:
     parser.add_argument(
         "--chunk-size", type=int, default=argparse.SUPPRESS,
         help="epochs per GEMM for the batched kernel",
-    )
-    parser.add_argument(
-        "--backend", choices=BACKENDS, default=argparse.SUPPRESS,
-        help="array backend for the hot paths (falls back to numpy "
-             "when the optional backend is not installed)",
     )
     parser.add_argument(
         "--fast-forward", action="store_true", default=argparse.SUPPRESS,
@@ -480,7 +476,6 @@ def cmd_fleet(args) -> int:
         cohort_iterations=args.cohort_iterations,
         kernel=settings.kernel,
         chunk_size=settings.chunk_size,
-        backend=settings.backend,
         fastforward=settings.fastforward,
         window=args.window,
     )
@@ -734,12 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk-size", type=int, default=None,
         help="epochs per GEMM for the batched kernel (speed/memory knob; "
              "never changes results)",
-    )
-    parser.add_argument(
-        "--backend", choices=BACKENDS, default="numpy",
-        help="array backend for the hot paths: numpy (default), cupy, "
-             "or numba; optional backends fall back to numpy (with a "
-             "telemetry event) when not installed",
     )
     parser.add_argument(
         "--fast-forward", action="store_true", default=False,

@@ -10,9 +10,8 @@
   and improvement factors (Fig. 17, Table 3);
 * :mod:`repro.core.sweep` — configuration grids and the recompile-
   frequency sweep (Section 5);
-* :mod:`repro.core.backend` — the pluggable array-backend seam the hot
-  paths route through (numpy default; cupy/numba optional with graceful
-  fallback) plus the per-shape scratch-buffer pool;
+* :mod:`repro.core.scratch` — the process-wide scratch-buffer pool the
+  hot paths draw their per-chunk workspaces from;
 * :mod:`repro.core.fastforward` — the analytic steady-state
   fast-forward: periodic configs extrapolate wear in O(period) instead
   of O(iterations), bit-identically;
@@ -20,14 +19,6 @@
   figure.
 """
 
-from repro.core.backend import (
-    BACKENDS,
-    Backend,
-    BufferPool,
-    blas_implementation,
-    get_backend,
-    reset_backend_cache,
-)
 from repro.core.fastforward import (
     PERIODIC_KINDS,
     fastforward_eligible,
@@ -35,6 +26,7 @@ from repro.core.fastforward import (
     run_fastforward_epochs,
     strategy_period,
 )
+from repro.core.scratch import SCRATCH_POOL, BufferPool
 from repro.core.writedist import WriteDistribution
 from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator, SimulationResult
@@ -96,12 +88,8 @@ __all__ = [
     "AccuracyReport",
     "measure_fault_accuracy",
     "EVALUATORS",
-    "BACKENDS",
-    "Backend",
     "BufferPool",
-    "blas_implementation",
-    "get_backend",
-    "reset_backend_cache",
+    "SCRATCH_POOL",
     "PERIODIC_KINDS",
     "fastforward_eligible",
     "fastforward_period",

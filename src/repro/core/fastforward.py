@@ -46,8 +46,8 @@ from repro.array.state import ArrayState
 from repro.balance.config import BalanceConfig
 from repro.balance.hardware import HardwareRemapper
 from repro.balance.software import StrategyKind
-from repro.core.backend import Backend, get_backend
 from repro.core.kernel import epoch_lengths, make_epoch_maps
+from repro.core.scratch import SCRATCH_POOL
 from repro.synth.program import LaneProgram
 from repro.telemetry import get_telemetry
 
@@ -111,7 +111,6 @@ def run_fastforward_epochs(
     *,
     remappers: Optional[Dict[int, HardwareRemapper]] = None,
     track_reads: bool = True,
-    backend: Optional[Backend] = None,
 ) -> int:
     """Accumulate a whole run into ``state`` analytically.
 
@@ -130,8 +129,6 @@ def run_fastforward_epochs(
         remappers: Per-group :class:`HardwareRemapper`, required when
             ``config.hardware`` is set.
         track_reads: Also accumulate the read distribution.
-        backend: Array backend (default numpy); numpy is pure
-            delegation, so results are backend-independent.
 
     Returns:
         The number of *logical* epochs the run covers (identical to the
@@ -147,8 +144,6 @@ def run_fastforward_epochs(
         )
     if config.hardware and remappers is None:
         raise ValueError("hardware re-mapping requires remappers")
-    backend = backend if backend is not None else get_backend()
-    pool = backend.pool
 
     lengths = epoch_lengths(config, iterations)
     total_epochs = int(lengths.size)
@@ -212,17 +207,17 @@ def run_fastforward_epochs(
                 # lane weight carries only the period multiplicity.
                 weight_values: "np.ndarray | float" = weight_scale
             else:
-                profile_writes = pool.get(
+                profile_writes = SCRATCH_POOL.get(
                     "fastforward.profile_writes", (count, lane_size)
                 )
                 profile_writes[rows, within_maps] = write_profiles[key]
                 if track_reads:
-                    profile_reads = pool.get(
+                    profile_reads = SCRATCH_POOL.get(
                         "fastforward.profile_reads", (count, lane_size)
                     )
                     profile_reads[rows, within_maps] = read_profiles[key]
                 weight_values = np.multiply(weight_scale, float(epoch_length))
-            lane_weights = pool.get(
+            lane_weights = SCRATCH_POOL.get(
                 "fastforward.lane_weights", (count, lane_count), zero=True
             )
             lane_weights[rows, between_maps[:, lanes]] = weight_values

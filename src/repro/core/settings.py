@@ -1,14 +1,11 @@
 """The unified :class:`SimulationSettings` API.
 
-PR 2 threaded ``kernel`` / ``chunk_size`` kwargs through every layer
-that touches a simulation (simulator, sweeps, job specs, engine, CLI).
-This module ends that per-call threading: one frozen dataclass carries
-every knob that shapes *how* a simulation runs — seed, kernel,
-chunk size, read tracking, and telemetry options — and is passed down
-whole. The legacy kwargs survive everywhere as deprecated aliases that
-warn **once per process** (:func:`warn_legacy_kwargs`) and produce
-bit-identical behavior, including identical ``JobSpec.content_hash``
-values.
+One frozen dataclass carries every knob that shapes *how* a simulation
+runs — seed, kernel, chunk size, read tracking, and telemetry options —
+and is passed down whole through the simulator, sweeps, job specs,
+engine, fleet and CLI. Execution knobs are validated here, once, so a
+bad value is refused where it is written rather than deep inside a
+kernel.
 
 Telemetry options (``log_level`` / ``trace_path`` / ``progress``) ride
 along for the CLI's benefit; they never influence results and are
@@ -17,18 +14,13 @@ excluded from job content hashes.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.core.accuracy import EVALUATORS
-from repro.core.backend import BACKENDS
 from repro.core.kernel import KERNELS
 
 _LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
-
-#: Process-level once-latch for the legacy-kwarg deprecation warning.
-_warned_legacy = False
 
 
 @dataclass(frozen=True)
@@ -39,17 +31,12 @@ class SimulationSettings:
         seed: Base RNG seed; all random streams derive from it.
         kernel: Execution path — ``"batched"`` (chunked GEMM) or
             ``"epoch"`` (per-epoch oracle loop). Bit-identical results.
-        chunk_size: Batched-kernel epochs per GEMM (``None`` = default);
-            a pure speed/memory knob, validated where it is consumed.
+        chunk_size: Batched-kernel epochs per GEMM (``None`` = default,
+            otherwise at least 1); a pure speed/memory knob.
         evaluator: Functional-evaluation backend — ``"compiled"`` (SWAR
             bitplane batches) or ``"interpreted"`` (per-instruction
             loop). Bit-identical results; a pure speed knob, so it is
             excluded from job content hashes like the kernel knobs.
-        backend: Array backend for the hot paths — ``"numpy"``
-            (default), ``"cupy"``, or ``"numba"``. Optional backends
-            fall back to numpy semantics (with a telemetry event) when
-            their import is missing; results are backend-independent,
-            so this is hash-excluded like the kernel knobs.
         fastforward: Use the analytic steady-state fast-forward
             (:mod:`repro.core.fastforward`) instead of simulating every
             epoch. Bit-identical on eligible (periodic St/Bs/B1)
@@ -67,7 +54,6 @@ class SimulationSettings:
     kernel: str = "batched"
     chunk_size: Optional[int] = None
     evaluator: str = "compiled"
-    backend: str = "numpy"
     fastforward: bool = False
     track_reads: bool = True
     log_level: Optional[str] = None
@@ -79,14 +65,14 @@ class SimulationSettings:
             raise ValueError(
                 f"kernel must be one of {KERNELS}, got {self.kernel!r}"
             )
+        if self.chunk_size is not None and self.chunk_size < 1:
+            raise ValueError(
+                f"chunk_size must be None or positive, got {self.chunk_size!r}"
+            )
         if self.evaluator not in EVALUATORS:
             raise ValueError(
                 f"evaluator must be one of {EVALUATORS}, "
                 f"got {self.evaluator!r}"
-            )
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
         if (
             self.log_level is not None
@@ -100,57 +86,3 @@ class SimulationSettings:
     def replace(self, **changes) -> "SimulationSettings":
         """A copy with the given fields changed (validation re-runs)."""
         return replace(self, **changes)
-
-    def merge_legacy(
-        self,
-        context: str,
-        seed: Optional[int] = None,
-        kernel: Optional[str] = None,
-        chunk_size: Optional[int] = None,
-        track_reads: Optional[bool] = None,
-    ) -> "SimulationSettings":
-        """Overlay deprecated per-kwarg overrides onto these settings.
-
-        ``None`` means "not passed"; any non-``None`` value triggers the
-        once-per-process deprecation warning and wins over the
-        corresponding field.
-        """
-        overrides = {
-            name: value
-            for name, value in (
-                ("seed", seed),
-                ("kernel", kernel),
-                ("chunk_size", chunk_size),
-                ("track_reads", track_reads),
-            )
-            if value is not None
-        }
-        if not overrides:
-            return self
-        warn_legacy_kwargs(context, sorted(overrides))
-        return self.replace(**overrides)
-
-
-def warn_legacy_kwargs(context: str, names) -> None:
-    """Emit the once-per-process legacy-kwarg ``DeprecationWarning``.
-
-    Args:
-        context: The API the caller used (e.g. ``EnduranceSimulator.run``).
-        names: The legacy kwarg names that were passed.
-    """
-    global _warned_legacy
-    if _warned_legacy:
-        return
-    _warned_legacy = True
-    warnings.warn(
-        f"passing {', '.join(names)} to {context} is deprecated; "
-        f"pass a repro.SimulationSettings via settings= instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def reset_deprecation_latch() -> None:
-    """Re-arm the once-per-process deprecation warning (for tests)."""
-    global _warned_legacy
-    _warned_legacy = False

@@ -35,7 +35,6 @@ from repro.array.state import ArrayState
 from repro.balance.config import BalanceConfig
 from repro.balance.hardware import HardwareRemapper
 from repro.balance.software import StrategyKind, wear_aware_permutation
-from repro.core.backend import get_backend
 from repro.core.fastforward import run_fastforward_epochs
 from repro.core.kernel import make_epoch_maps, run_batched_epochs
 from repro.core.settings import SimulationSettings
@@ -118,30 +117,16 @@ class EnduranceSimulator:
         architecture: The PIM array design under test.
         settings: The unified knob set (:class:`SimulationSettings`) —
             seed, kernel, chunk size, read tracking, telemetry options.
-        seed: Deprecated alias for ``settings.seed`` (warns once).
-        kernel: Deprecated alias for ``settings.kernel`` — ``"batched"``
-            (chunked GEMM accumulation, :mod:`repro.core.kernel`) or
-            ``"epoch"`` (the per-epoch loop); bit-identical, the epoch
-            loop is kept as the property-test oracle.
-        chunk_size: Deprecated alias for ``settings.chunk_size``
-            (epochs per GEMM; affects memory and speed only).
     """
 
     def __init__(
         self,
         architecture: PIMArchitecture,
         settings: Optional[SimulationSettings] = None,
-        seed: Optional[int] = None,
-        kernel: Optional[str] = None,
-        chunk_size: Optional[int] = None,
     ) -> None:
-        base = settings if settings is not None else SimulationSettings()
-        self.settings = base.merge_legacy(
-            "EnduranceSimulator()",
-            seed=seed,
-            kernel=kernel,
-            chunk_size=chunk_size,
-        )
+        if settings is None:
+            settings = SimulationSettings()
+        self.settings = settings
         self.architecture = architecture
         self._mapping_cache: Dict[str, WorkloadMapping] = {}
         self._verified: set = set()
@@ -170,9 +155,6 @@ class EnduranceSimulator:
         workload: Workload,
         config: BalanceConfig,
         iterations: int = 100_000,
-        track_reads: Optional[bool] = None,
-        kernel: Optional[str] = None,
-        chunk_size: Optional[int] = None,
         settings: Optional[SimulationSettings] = None,
     ) -> SimulationResult:
         """Simulate ``iterations`` repetitions under ``config``.
@@ -183,10 +165,6 @@ class EnduranceSimulator:
             iterations: Repetitions ("as soon as it computes the final
                 results a new set of inputs is loaded and the process
                 repeats", Section 4).
-            track_reads: Deprecated alias for ``settings.track_reads``
-                (disable to halve the accumulation cost of large sweeps).
-            kernel: Deprecated alias for ``settings.kernel``.
-            chunk_size: Deprecated alias for ``settings.chunk_size``.
             settings: Per-call settings override; defaults to the
                 simulator's own :class:`SimulationSettings`.
         """
@@ -199,12 +177,6 @@ class EnduranceSimulator:
                 "signal to sort by)"
             )
         effective = settings if settings is not None else self.settings
-        effective = effective.merge_legacy(
-            "EnduranceSimulator.run()",
-            kernel=kernel,
-            chunk_size=chunk_size,
-            track_reads=track_reads,
-        )
         tele = get_telemetry()
         start = time.perf_counter()
         mapping = self._mapping_for(workload)
@@ -216,9 +188,7 @@ class EnduranceSimulator:
             if report.errors:
                 raise VerificationError(report)
         architecture = self.architecture
-        backend = get_backend(effective.backend)
         state = ArrayState(architecture.geometry)
-        state.set_backend(backend)
         rng = np.random.default_rng(effective.seed)
 
         remappers: Dict[int, HardwareRemapper] = {}
@@ -244,7 +214,6 @@ class EnduranceSimulator:
                     iterations,
                     remappers=remappers if config.hardware else None,
                     track_reads=effective.track_reads,
-                    backend=backend,
                 )
             elif effective.kernel == "batched":
                 epochs = run_batched_epochs(
@@ -258,7 +227,6 @@ class EnduranceSimulator:
                     lane_loads=lane_loads,
                     track_reads=effective.track_reads,
                     chunk_size=effective.chunk_size,
-                    backend=backend,
                 )
             else:
                 epochs = self._run_epoch_loop(

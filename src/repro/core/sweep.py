@@ -57,8 +57,6 @@ def simulate_configs(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     hooks=None,
-    kernel: Optional[str] = None,
-    chunk_size: Optional[int] = None,
     settings: Optional[SimulationSettings] = None,
 ) -> Dict[BalanceConfig, SimulationResult]:
     """Simulate a list of configurations once each, in the given order.
@@ -74,16 +72,11 @@ def simulate_configs(
     Args:
         settings: Simulation settings for every cell; defaults to the
             simulator's own (``track_reads`` below still applies).
-        kernel: Deprecated alias for ``settings.kernel``.
-        chunk_size: Deprecated alias for ``settings.chunk_size``.
 
     Raises:
         repro.engine.EngineError: if any engine-routed job fails.
     """
     base = settings if settings is not None else simulator.settings
-    base = base.merge_legacy(
-        "simulate_configs()", kernel=kernel, chunk_size=chunk_size
-    )
     if track_reads is None:
         # Sweeps historically default to writes-only; explicit settings
         # carry their own choice.
@@ -145,8 +138,6 @@ def configuration_grid(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     hooks=None,
-    kernel: Optional[str] = None,
-    chunk_size: Optional[int] = None,
     settings: Optional[SimulationSettings] = None,
 ) -> List[GridEntry]:
     """Simulate a workload under every balance configuration.
@@ -161,8 +152,6 @@ def configuration_grid(
             runs and an interrupted grid resumes from them.
         hooks: Engine progress hooks (e.g.
             :class:`repro.engine.TextReporter`).
-        kernel: Deprecated alias for ``settings.kernel``.
-        chunk_size: Deprecated alias for ``settings.chunk_size``.
         settings: Simulation settings for every cell.
 
     Returns:
@@ -182,8 +171,6 @@ def configuration_grid(
         jobs=jobs,
         cache_dir=cache_dir,
         hooks=hooks,
-        kernel=kernel,
-        chunk_size=chunk_size,
         settings=settings,
     )
     baseline = results[baseline_config]
@@ -214,8 +201,6 @@ def remap_frequency_sweep(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     hooks=None,
-    kernel: Optional[str] = None,
-    chunk_size: Optional[int] = None,
     settings: Optional[SimulationSettings] = None,
 ) -> Dict[int, float]:
     """Lifetime improvement versus recompile interval (Section 5).
@@ -235,11 +220,10 @@ def remap_frequency_sweep(
         jobs: Worker processes for the engine-routed path.
         cache_dir: Engine result store (reuse/resume across runs).
         hooks: Engine progress hooks.
-        kernel: Deprecated alias for ``settings.kernel``. The batched
-            kernel is what makes the small-interval points (down to
-            re-mapping every iteration) affordable at full horizons.
-        chunk_size: Deprecated alias for ``settings.chunk_size``.
-        settings: Simulation settings for every point.
+        settings: Simulation settings for every point. The batched
+            kernel (the default) is what makes the small-interval points
+            (down to re-mapping every iteration) affordable at full
+            horizons.
 
     Returns:
         Interval -> lifetime improvement over the static baseline.
@@ -264,8 +248,6 @@ def remap_frequency_sweep(
         jobs=jobs,
         cache_dir=cache_dir,
         hooks=hooks,
-        kernel=kernel,
-        chunk_size=chunk_size,
         settings=settings,
     )
     baseline = results[baseline_config]

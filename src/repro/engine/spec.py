@@ -49,9 +49,6 @@ class JobSpec:
             cached result answers either.
         chunk_size: Batched kernel epochs-per-GEMM (``None`` = default).
             Also hash-excluded — it affects speed and memory only.
-        backend: Array backend for the hot paths (``"numpy"``/``"cupy"``/
-            ``"numba"``). Hash-excluded: results are backend-independent
-            (optional backends fall back to numpy when unavailable).
         fastforward: Run the analytic steady-state fast-forward instead
             of simulating every epoch. Hash-excluded: on eligible
             configs it is bit-identical, and ineligible configs are
@@ -66,21 +63,12 @@ class JobSpec:
     track_reads: bool = False
     kernel: str = "batched"
     chunk_size: Optional[int] = None
-    backend: str = "numpy"
     fastforward: bool = False
 
     def __post_init__(self) -> None:
         if self.iterations <= 0:
             raise ValueError("iterations must be positive")
-        if self.kernel not in ("batched", "epoch"):
-            raise ValueError(
-                f"kernel must be 'batched' or 'epoch', got {self.kernel!r}"
-            )
-        if self.backend not in ("numpy", "cupy", "numba"):
-            raise ValueError(
-                f"backend must be 'numpy', 'cupy', or 'numba', "
-                f"got {self.backend!r}"
-            )
+        self.settings  # building the settings validates kernel/chunk_size
 
     @classmethod
     def from_settings(
@@ -96,7 +84,7 @@ class JobSpec:
         The settings' telemetry options are sink configuration, not
         simulation identity, so they do not appear on the spec (and thus
         never reach the content hash). A spec built this way hashes
-        identically to one built with the legacy per-field kwargs.
+        identically to one built field by field.
         """
         settings = settings if settings is not None else SimulationSettings()
         return cls(
@@ -108,7 +96,6 @@ class JobSpec:
             track_reads=settings.track_reads,
             kernel=settings.kernel,
             chunk_size=settings.chunk_size,
-            backend=settings.backend,
             fastforward=settings.fastforward,
         )
 
@@ -119,7 +106,6 @@ class JobSpec:
             seed=self.seed,
             kernel=self.kernel,
             chunk_size=self.chunk_size,
-            backend=self.backend,
             fastforward=self.fastforward,
             track_reads=self.track_reads,
         )

@@ -39,8 +39,8 @@ import numpy as np
 
 from repro.array.architecture import default_architecture
 from repro.balance.config import BalanceConfig
-from repro.core.backend import flush_pool_counters, get_backend
 from repro.core.failure import minimum_footprint
+from repro.core.settings import SimulationSettings
 from repro.engine.runner import ExperimentEngine, require_ok
 from repro.engine.spec import JobSpec
 from repro.engine.store import ResultStore
@@ -147,9 +147,6 @@ class FleetSpec:
         cohort_iterations: Iterations for each cohort's wear simulation.
         kernel: Simulation kernel (hash-excluded).
         chunk_size: Batched-kernel chunk size (hash-excluded).
-        backend: Array backend for cohort calibration and the day loop's
-            vector math (hash-excluded; falls back to numpy when the
-            optional backend is unavailable).
         fastforward: Calibrate cohorts through the analytic steady-state
             fast-forward when their configs are eligible (hash-excluded;
             bit-identical where accepted, refused via RPR011 otherwise).
@@ -178,7 +175,6 @@ class FleetSpec:
     cohort_iterations: int = 2000
     kernel: str = "batched"
     chunk_size: Optional[int] = None
-    backend: str = "numpy"
     fastforward: bool = False
     fleet_workers: int = 1
     window: int = 0
@@ -197,11 +193,8 @@ class FleetSpec:
             raise ValueError("slo must be in (0, 1)")
         if self.cohort_iterations < 1:
             raise ValueError("cohort_iterations must be positive")
-        if self.backend not in ("numpy", "cupy", "numba"):
-            raise ValueError(
-                f"backend must be 'numpy', 'cupy', or 'numba', "
-                f"got {self.backend!r}"
-            )
+        # Building the settings validates kernel and chunk_size.
+        SimulationSettings(kernel=self.kernel, chunk_size=self.chunk_size)
         if self.fleet_workers != 1:
             raise ValueError(
                 f"fleet_workers={self.fleet_workers} is not supported: the "
@@ -308,11 +301,6 @@ class FleetService:
         self.jobs = jobs
         self.population = Population.build(spec.population)
         self.architecture = default_architecture(spec.rows, spec.cols)
-        # The day loop's vector math runs on the selected backend's
-        # array namespace (numpy itself unless an optional backend is
-        # installed); campaign state stays host-side either way.
-        self.backend = get_backend(spec.backend)
-        self._xp = self.backend.xp
 
     # -- phase 1: cohort calibration ------------------------------------
 
@@ -327,7 +315,6 @@ class FleetService:
                 seed=self.spec.seed,
                 kernel=self.spec.kernel,
                 chunk_size=self.spec.chunk_size,
-                backend=self.spec.backend,
                 fastforward=self.spec.fastforward,
             )
             for cohort in self.spec.population.cohorts
@@ -404,24 +391,21 @@ class FleetService:
         capacities: np.ndarray,
     ) -> float:
         """Allocate one cohort-day of demand; returns iterations served."""
-        xp = self._xp
-        # asarray is a no-copy pass-through on numpy and the host-to-
-        # device transfer on an installed device backend.
-        caps = xp.asarray(capacities[alive])
+        caps = capacities[alive]
         if self.spec.dispatch == "even":
-            allocation = xp.minimum(demand_iterations / len(alive), caps)
+            allocation = np.minimum(demand_iterations / len(alive), caps)
         else:  # least_worn
-            headroom = xp.maximum(
-                xp.asarray(thresholds[alive] - state.cumulative[alive]), 0.0
+            headroom = np.maximum(
+                thresholds[alive] - state.cumulative[alive], 0.0
             )
             total = headroom.sum()
             if total <= 0:
                 # Everyone is at the brink; fall back to an even split.
-                share = xp.full(len(alive), 1.0 / len(alive))
+                share = np.full(len(alive), 1.0 / len(alive))
             else:
                 share = headroom / total
-            allocation = xp.minimum(demand_iterations * share, caps)
-        state.cumulative[alive] += self.backend.to_numpy(allocation)
+            allocation = np.minimum(demand_iterations * share, caps)
+        state.cumulative[alive] += allocation
         return float(allocation.sum())
 
     def _per_day_max(self, capacities: np.ndarray) -> np.ndarray:
@@ -684,7 +668,7 @@ class FleetService:
         with tele.timed_phase("fleet.advance"):
             while state.day < last_day:
                 bound = 0
-                if spec.window >= 2 and self._xp is np:
+                if spec.window >= 2:
                     bound = no_death_window(
                         thresholds,
                         state.cumulative,
@@ -758,9 +742,8 @@ class FleetService:
         )
         report = replace(report, runtime=runtime)
         tele.count("fleet.deaths", report.n_deaths)
-        # Publish the aggregate counters (fleet.*, backend.pool.*, ...)
-        # into the trace so `repro-endurance stats` can render them.
-        flush_pool_counters()
+        # Publish the aggregate counters (fleet.*, pool.*, ...) into the
+        # trace so `repro-endurance stats` can render them.
         tele.emit("counters", counters=tele.snapshot()["counters"])
         tele.emit(
             "fleet_end",

@@ -329,7 +329,6 @@ class CompiledProgram:
             Dict[int, int], Sequence[Dict[int, int]], None
         ] = None,
         draws: Optional[int] = None,
-        backend=None,
     ) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
         """Evaluate N operand draws at once on uint64 bitplanes.
 
@@ -347,11 +346,6 @@ class CompiledProgram:
                 gets ``stuck[n]``).
             draws: Batch size, required only when the program takes no
                 operands and no externals.
-            backend: Optional :class:`repro.core.backend.Backend` whose
-                buffer pool supplies the scratch planes (memory, ready
-                flags, read-out planes, write values); ``None`` uses the
-                process-default backend. A pure allocation knob —
-                results are bit-identical either way.
 
         Returns:
             ``(outputs, readouts)`` — output name to a length-N object
@@ -381,11 +375,9 @@ class CompiledProgram:
             stuck, n, words
         )
 
-        if backend is None:
-            from repro.core.backend import get_backend
+        # Imported lazily: repro.core depends on this package.
+        from repro.core.scratch import SCRATCH_POOL as pool
 
-            backend = get_backend()
-        pool = backend.pool
         # Pooled scratch: requested zeroed so reuse matches the fresh
         # np.zeros semantics (scratch/zero-const writes rely on it).
         memory = pool.get(
@@ -468,7 +460,6 @@ class CompiledProgram:
         operands: Optional[Dict[str, Sequence[int]]] = None,
         externals: Optional[Dict[str, Sequence[Sequence[int]]]] = None,
         draws: Optional[int] = None,
-        backend=None,
     ) -> np.ndarray:
         """Per-address state-change counts over N sequential iterations.
 
@@ -498,11 +489,9 @@ class CompiledProgram:
         )
         tag_names = {tid: tag for tag, tid in self._tag_ids.items()}
 
-        if backend is None:
-            from repro.core.backend import get_backend
+        # Imported lazily: repro.core depends on this package.
+        from repro.core.scratch import SCRATCH_POOL as pool
 
-            backend = get_backend()
-        pool = backend.pool
         memory = pool.get(
             "eval.memory", (program.footprint, words), np.uint64, zero=True
         )

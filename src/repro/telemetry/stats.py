@@ -33,7 +33,6 @@ EVENT_FIELDS: Dict[str, frozenset] = {
     "job_retry": frozenset({"label", "attempt"}),
     "job_timeout": frozenset({"label", "timeout_s"}),
     "job_rejected": frozenset({"label", "errors", "codes"}),
-    "backend_fallback": frozenset({"requested", "fallback", "reason"}),
     "verify_report": frozenset({"codes", "errors", "warnings", "total"}),
     "grid_progress": frozenset({"done", "total", "label"}),
     "fleet_start": frozenset({"arrays", "days", "cohorts"}),
@@ -52,9 +51,6 @@ EVENT_FIELDS: Dict[str, frozenset] = {
 #: ``docs/observability.md``.
 KNOWN_COUNTERS: frozenset = frozenset(
     {
-        "backend.fallbacks",
-        "backend.pool.hits",
-        "backend.pool.misses",
         "compile.programs",
         "engine.cache_hits",
         "engine.cache_misses",
@@ -78,6 +74,8 @@ KNOWN_COUNTERS: frozenset = frozenset(
         "kernel.chunk_size",
         "kernel.chunks",
         "kernel.gemms",
+        "pool.hits",
+        "pool.misses",
         "sim.epochs",
         "sim.epochs_per_s",
         "sim.iterations",

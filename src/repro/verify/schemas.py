@@ -61,7 +61,6 @@ MANIFEST_KEYS = frozenset(
         "seed",
         "kernel",
         "chunk_size",
-        "backend",
         "fastforward",
         "numpy_version",
         "blas",

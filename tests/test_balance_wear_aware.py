@@ -10,6 +10,7 @@ from repro.balance.software import (
     wear_aware_permutation,
 )
 from repro.core.lifetime import lifetime_improvement
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.workloads.dotproduct import DotProduct
 from repro.workloads.multiply import ParallelMultiplication
@@ -40,44 +41,46 @@ class TestPermutation:
 
 class TestSimulatorIntegration:
     def test_wear_aware_levels_the_dot_product(self, small_arch):
-        sim = EnduranceSimulator(small_arch, seed=1)
+        sim = EnduranceSimulator(
+            small_arch, SimulationSettings(seed=1, track_reads=False)
+        )
         workload = DotProduct(n_elements=64, bits=8)
-        base = sim.run(workload, BalanceConfig(), 1000, track_reads=False)
+        base = sim.run(workload, BalanceConfig(), 1000)
         adaptive = sim.run(
             workload,
             BalanceConfig(between=StrategyKind.WEAR_AWARE),
             1000,
-            track_reads=False,
         )
         assert lifetime_improvement(adaptive, base) > 1.2
 
     def test_wear_aware_at_least_matches_random(self, small_arch):
-        sim = EnduranceSimulator(small_arch, seed=1)
+        sim = EnduranceSimulator(
+            small_arch, SimulationSettings(seed=1, track_reads=False)
+        )
         workload = DotProduct(n_elements=64, bits=8)
-        base = sim.run(workload, BalanceConfig(), 1000, track_reads=False)
+        base = sim.run(workload, BalanceConfig(), 1000)
         random = sim.run(
             workload, BalanceConfig.from_label("StxRa"), 1000,
-            track_reads=False,
         )
         adaptive = sim.run(
             workload,
             BalanceConfig(between=StrategyKind.WEAR_AWARE),
             1000,
-            track_reads=False,
         )
         assert lifetime_improvement(adaptive, base) >= (
             0.97 * lifetime_improvement(random, base)
         )
 
     def test_conserves_total_writes(self, small_arch):
-        sim = EnduranceSimulator(small_arch, seed=1)
+        sim = EnduranceSimulator(
+            small_arch, SimulationSettings(seed=1, track_reads=False)
+        )
         workload = DotProduct(n_elements=64, bits=8)
-        base = sim.run(workload, BalanceConfig(), 500, track_reads=False)
+        base = sim.run(workload, BalanceConfig(), 500)
         adaptive = sim.run(
             workload,
             BalanceConfig(between=StrategyKind.WEAR_AWARE),
             500,
-            track_reads=False,
         )
         assert adaptive.state.total_writes == pytest.approx(
             base.state.total_writes
@@ -86,19 +89,20 @@ class TestSimulatorIntegration:
     def test_noop_for_uniform_workload(self, small_arch):
         # All lanes carry identical loads: wear-aware degenerates to a
         # fixed assignment and changes nothing versus static.
-        sim = EnduranceSimulator(small_arch, seed=1)
+        sim = EnduranceSimulator(
+            small_arch, SimulationSettings(seed=1, track_reads=False)
+        )
         workload = ParallelMultiplication(bits=8)
-        base = sim.run(workload, BalanceConfig(), 300, track_reads=False)
+        base = sim.run(workload, BalanceConfig(), 300)
         adaptive = sim.run(
             workload,
             BalanceConfig(between=StrategyKind.WEAR_AWARE),
             300,
-            track_reads=False,
         )
         assert lifetime_improvement(adaptive, base) == pytest.approx(1.0)
 
     def test_wear_aware_within_lane_rejected(self, small_arch):
-        sim = EnduranceSimulator(small_arch, seed=1)
+        sim = EnduranceSimulator(small_arch, SimulationSettings(seed=1))
         with pytest.raises(ValueError, match="between lanes only"):
             sim.run(
                 ParallelMultiplication(bits=8),

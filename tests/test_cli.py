@@ -345,7 +345,7 @@ class TestFlagAudit:
             command,
             "--jobs", "2", "--cache-dir", "x",
             "--seed", "9", "--kernel", "epoch", "--chunk-size", "64",
-            "--backend", "numpy", "--fast-forward",
+            "--fast-forward",
             "--log-level", "info", "--trace", "t.jsonl", "--progress",
         ])
         assert args.jobs == 2
@@ -353,7 +353,6 @@ class TestFlagAudit:
         assert args.seed == 9
         assert args.kernel == "epoch"
         assert args.chunk_size == 64
-        assert args.backend == "numpy"
         assert args.fast_forward is True
         assert args.log_level == "info"
         assert args.trace == "t.jsonl"
@@ -365,13 +364,19 @@ class TestFlagAudit:
         parser = build_parser()
         args = parser.parse_args(
             ["--seed", "9", "--kernel", "epoch", "--trace", "t.jsonl",
-             "--backend", "numba", "--fast-forward", command]
+             "--fast-forward", command]
         )
         assert args.seed == 9
         assert args.kernel == "epoch"
         assert args.trace == "t.jsonl"
-        assert args.backend == "numba"
         assert args.fast_forward is True
+
+
+    def test_non_positive_chunk_size_exits_cleanly(self, capsys):
+        with pytest.raises(SystemExit, match="chunk_size"):
+            main(["--rows", "64", "--cols", "16", "--chunk-size", "0",
+                  "heatmap", "--workload", "mult", "--config", "RaxRa",
+                  "--iterations", "5"])
 
 
 class TestFastForwardFlag:

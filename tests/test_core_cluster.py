@@ -127,21 +127,15 @@ class TestSettingsPath:
         import hashlib
         import warnings
 
-        from repro.core.settings import reset_deprecation_latch
-
-        reset_deprecation_latch()
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                result = cluster.run(
-                    small_arch,
-                    BalanceConfig.from_label("RaxRa"),
-                    iterations=100,
-                    rotate_aggregator=rotate,
-                    seed=5,
-                )
-        finally:
-            reset_deprecation_latch()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            result = cluster.run(
+                small_arch,
+                BalanceConfig.from_label("RaxRa"),
+                iterations=100,
+                rotate_aggregator=rotate,
+                seed=5,
+            )
         digest = hashlib.sha256()
         for array in result.results:
             digest.update(np.ascontiguousarray(array.state.write_counts))

@@ -20,6 +20,7 @@ from repro.balance.software import (
     make_permutations,
 )
 from repro.core.kernel import epoch_lengths, make_epoch_maps
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.workloads.dotproduct import DotProduct
 from repro.workloads.multiply import ParallelMultiplication
@@ -30,13 +31,15 @@ ARCH = default_architecture(64, 16)
 
 def _run(arch, config, *, kernel, seed=3, iterations=40, chunk_size=None,
          workload=None, track_reads=True):
-    sim = EnduranceSimulator(arch, seed=seed, kernel=kernel,
-                             chunk_size=chunk_size)
+    settings = SimulationSettings(
+        seed=seed, kernel=kernel, chunk_size=chunk_size,
+        track_reads=track_reads,
+    )
+    sim = EnduranceSimulator(arch, settings)
     return sim.run(
         workload or ParallelMultiplication(bits=8),
         config,
         iterations=iterations,
-        track_reads=track_reads,
     )
 
 
@@ -226,31 +229,29 @@ class TestEpochLengths:
 class TestKernelKnob:
     def test_unknown_kernel_rejected_at_construction(self):
         with pytest.raises(ValueError, match="kernel"):
-            EnduranceSimulator(ARCH, kernel="magic")
+            EnduranceSimulator(ARCH, SimulationSettings(kernel="magic"))
 
     def test_unknown_kernel_rejected_at_run(self):
         sim = EnduranceSimulator(ARCH)
         with pytest.raises(ValueError, match="kernel"):
             sim.run(
                 ParallelMultiplication(bits=8), BalanceConfig(),
-                iterations=5, kernel="magic",
+                iterations=5, settings=sim.settings.replace(kernel="magic"),
             )
 
     def test_non_positive_chunk_rejected(self):
-        sim = EnduranceSimulator(ARCH, chunk_size=0)
+        # Refused where the knob is written, never deep inside the kernel.
         with pytest.raises(ValueError, match="chunk_size"):
-            sim.run(
-                ParallelMultiplication(bits=8),
-                BalanceConfig.from_label("RaxRa"),
-                iterations=5,
-            )
+            EnduranceSimulator(ARCH, SimulationSettings(chunk_size=0))
 
     def test_run_override_beats_simulator_default(self):
-        sim = EnduranceSimulator(ARCH, seed=9, kernel="epoch")
+        sim = EnduranceSimulator(
+            ARCH, SimulationSettings(seed=9, kernel="epoch")
+        )
         config = BalanceConfig.from_label("RaxRa", recompile_interval=4)
         a = sim.run(ParallelMultiplication(bits=8), config, iterations=20)
         b = sim.run(
             ParallelMultiplication(bits=8), config, iterations=20,
-            kernel="batched",
+            settings=sim.settings.replace(kernel="batched"),
         )
         _assert_identical(a, b)

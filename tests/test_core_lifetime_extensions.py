@@ -5,13 +5,14 @@ import pytest
 
 from repro.balance.config import BalanceConfig
 from repro.core.lifetime import lifetime_from_result, lifetime_with_read_wear
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.workloads.multiply import ParallelMultiplication
 
 
 @pytest.fixture
 def result(small_arch):
-    sim = EnduranceSimulator(small_arch, seed=0)
+    sim = EnduranceSimulator(small_arch, SimulationSettings(seed=0))
     return sim.run(
         ParallelMultiplication(bits=8), BalanceConfig(), iterations=200
     )
@@ -45,10 +46,11 @@ class TestReadWear:
         assert all(a >= b for a, b in zip(lifetimes, lifetimes[1:]))
 
     def test_requires_tracked_reads(self, small_arch):
-        sim = EnduranceSimulator(small_arch, seed=0)
+        sim = EnduranceSimulator(
+            small_arch, SimulationSettings(seed=0, track_reads=False)
+        )
         no_reads = sim.run(
             ParallelMultiplication(bits=8), BalanceConfig(), 50,
-            track_reads=False,
         )
         with pytest.raises(ValueError, match="track_reads"):
             lifetime_with_read_wear(no_reads, 1e-3)

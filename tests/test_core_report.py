@@ -16,6 +16,7 @@ from repro.core.report import (
     format_table2,
     format_table3,
 )
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.core.sweep import configuration_grid
 from repro.core.writedist import WriteDistribution
@@ -48,7 +49,7 @@ class TestPaperTables:
         assert "1.59x" in text
 
     def test_fig17_bars(self, small_arch):
-        sim = EnduranceSimulator(small_arch, seed=0)
+        sim = EnduranceSimulator(small_arch, SimulationSettings(seed=0))
         entries = configuration_grid(
             sim, ParallelMultiplication(bits=8), iterations=100,
             configs=[BalanceConfig(), BalanceConfig.from_label("RaxSt")],
@@ -90,7 +91,7 @@ class TestFigureRenderings:
         from repro.core.report import format_full_report
         from repro.devices.technology import MRAM, RRAM
 
-        sim = EnduranceSimulator(small_arch, seed=0)
+        sim = EnduranceSimulator(small_arch, SimulationSettings(seed=0))
         result = sim.run(
             ParallelMultiplication(bits=8), BalanceConfig(), iterations=50
         )
@@ -103,7 +104,7 @@ class TestFigureRenderings:
         from repro.core.io import load_result, save_result
         from repro.core.report import format_full_report
 
-        sim = EnduranceSimulator(small_arch, seed=0)
+        sim = EnduranceSimulator(small_arch, SimulationSettings(seed=0))
         result = sim.run(
             ParallelMultiplication(bits=8), BalanceConfig(), iterations=50
         )

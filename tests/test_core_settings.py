@@ -1,4 +1,4 @@
-"""SimulationSettings: validation, legacy aliases, hash stability."""
+"""SimulationSettings: validation, settings paths, hash stability."""
 
 import warnings
 
@@ -6,22 +6,11 @@ import numpy as np
 import pytest
 
 from repro.balance.config import BalanceConfig
-from repro.core.settings import (
-    SimulationSettings,
-    reset_deprecation_latch,
-)
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.core.sweep import simulate_configs
 from repro.engine import JobSpec, run_simulation
 from repro.workloads.multiply import ParallelMultiplication
-
-
-@pytest.fixture(autouse=True)
-def rearmed_latch():
-    """Each test sees the once-per-process warning fresh."""
-    reset_deprecation_latch()
-    yield
-    reset_deprecation_latch()
 
 
 class TestValidation:
@@ -49,10 +38,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="evaluator"):
             SimulationSettings(evaluator="magic")
 
-    def test_chunk_size_not_validated_here(self):
-        # chunk_size is validated where it is consumed (the kernel), so a
-        # nonsensical value constructs fine and fails only at run().
-        SimulationSettings(chunk_size=0)
+    def test_non_positive_chunk_size_rejected(self):
+        assert SimulationSettings(chunk_size=1).chunk_size == 1
+        for bad in (0, -4):
+            with pytest.raises(ValueError, match="chunk_size"):
+                SimulationSettings(chunk_size=bad)
+
+    def test_fastforward_defaults_off(self):
+        assert SimulationSettings().fastforward is False
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -66,17 +59,6 @@ class TestValidation:
 
 
 class TestDeprecationWarning:
-    def test_legacy_kwarg_warns_once_per_process(self, tiny_arch):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            EnduranceSimulator(tiny_arch, seed=1)
-            EnduranceSimulator(tiny_arch, seed=2)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "settings=" in str(deprecations[0].message)
-
     def test_settings_path_never_warns(self, tiny_arch):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -85,31 +67,8 @@ class TestDeprecationWarning:
             w for w in caught if issubclass(w.category, DeprecationWarning)
         ]
 
-    def test_run_legacy_kwargs_warn(self, tiny_arch):
-        sim = EnduranceSimulator(tiny_arch)
-        with pytest.warns(DeprecationWarning, match="EnduranceSimulator.run"):
-            sim.run(
-                ParallelMultiplication(bits=8), BalanceConfig(),
-                iterations=50, kernel="epoch",
-            )
-
 
 class TestEquivalence:
-    def test_legacy_and_settings_paths_agree_bitwise(self, tiny_arch):
-        workload = ParallelMultiplication(bits=8)
-        config = BalanceConfig.from_label("RaxRa")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = EnduranceSimulator(tiny_arch, seed=11).run(
-                workload, config, iterations=200
-            )
-        modern = EnduranceSimulator(
-            tiny_arch, SimulationSettings(seed=11)
-        ).run(workload, config, iterations=200)
-        assert np.array_equal(
-            legacy.state.write_counts, modern.state.write_counts
-        )
-
     def test_simulator_properties_delegate_to_settings(self, tiny_arch):
         sim = EnduranceSimulator(
             tiny_arch,

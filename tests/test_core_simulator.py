@@ -8,6 +8,7 @@ from repro.array.executor import replay_assignment
 from repro.array.state import ArrayState
 from repro.balance.config import BalanceConfig
 from repro.balance.software import StrategyKind
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.workloads.dotproduct import DotProduct
 from repro.workloads.multiply import ParallelMultiplication
@@ -15,7 +16,7 @@ from repro.workloads.multiply import ParallelMultiplication
 
 @pytest.fixture
 def sim(small_arch):
-    return EnduranceSimulator(small_arch, seed=11)
+    return EnduranceSimulator(small_arch, SimulationSettings(seed=11))
 
 
 @pytest.fixture
@@ -47,7 +48,10 @@ class TestConservation:
 
     def test_track_reads_off_zeroes_reads(self, sim, workload):
         result = sim.run(
-            workload, BalanceConfig(), iterations=50, track_reads=False
+            workload,
+            BalanceConfig(),
+            iterations=50,
+            settings=sim.settings.replace(track_reads=False),
         )
         assert result.state.total_reads == 0
 
@@ -55,7 +59,7 @@ class TestConservation:
 class TestAgainstReplay:
     def test_static_run_matches_instruction_replay(self, workload):
         arch = default_architecture(64, 16)
-        sim = EnduranceSimulator(arch, seed=0)
+        sim = EnduranceSimulator(arch, SimulationSettings(seed=0))
         result = sim.run(workload, BalanceConfig(), iterations=7)
         expected = ArrayState(arch.geometry)
         mapping = workload.build(arch)
@@ -69,7 +73,7 @@ class TestAgainstReplay:
         from repro.balance.mapping import byte_shift_permutation
 
         arch = default_architecture(64, 16)
-        sim = EnduranceSimulator(arch, seed=0)
+        sim = EnduranceSimulator(arch, SimulationSettings(seed=0))
         config = BalanceConfig(
             within=StrategyKind.BYTE_SHIFT, recompile_interval=3
         )
@@ -108,20 +112,20 @@ class TestEpochSemantics:
 
     def test_seed_reproducibility(self, small_arch, workload):
         config = BalanceConfig.from_label("RaxRa")
-        a = EnduranceSimulator(small_arch, seed=5).run(
+        a = EnduranceSimulator(small_arch, SimulationSettings(seed=5)).run(
             workload, config, iterations=300
         )
-        b = EnduranceSimulator(small_arch, seed=5).run(
+        b = EnduranceSimulator(small_arch, SimulationSettings(seed=5)).run(
             workload, config, iterations=300
         )
         assert np.allclose(a.state.write_counts, b.state.write_counts)
 
     def test_different_seeds_differ(self, small_arch, workload):
         config = BalanceConfig.from_label("RaxRa")
-        a = EnduranceSimulator(small_arch, seed=1).run(
+        a = EnduranceSimulator(small_arch, SimulationSettings(seed=1)).run(
             workload, config, iterations=300
         )
-        b = EnduranceSimulator(small_arch, seed=2).run(
+        b = EnduranceSimulator(small_arch, SimulationSettings(seed=2)).run(
             workload, config, iterations=300
         )
         assert not np.allclose(a.state.write_counts, b.state.write_counts)
@@ -138,7 +142,7 @@ class TestHardwarePath:
         from repro.balance.hardware import HardwareRemapper
 
         arch = default_architecture(64, 8)
-        sim = EnduranceSimulator(arch, seed=0)
+        sim = EnduranceSimulator(arch, SimulationSettings(seed=0))
         result = sim.run(
             workload, BalanceConfig(hardware=True), iterations=5
         )
@@ -149,7 +153,7 @@ class TestHardwarePath:
         assert np.allclose(result.state.write_counts, expected_writes)
 
     def test_hardware_spreads_multi_role_workload(self, small_arch):
-        sim = EnduranceSimulator(small_arch, seed=3)
+        sim = EnduranceSimulator(small_arch, SimulationSettings(seed=3))
         workload = DotProduct(n_elements=32, bits=8)
         static = sim.run(workload, BalanceConfig(), iterations=200)
         hardware = sim.run(

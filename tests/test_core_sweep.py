@@ -3,6 +3,7 @@
 import pytest
 
 from repro.balance.config import BalanceConfig, all_configurations
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.core.sweep import (
     best_improvement,
@@ -16,7 +17,7 @@ from repro.workloads.multiply import ParallelMultiplication
 
 @pytest.fixture
 def sim(small_arch):
-    return EnduranceSimulator(small_arch, seed=1)
+    return EnduranceSimulator(small_arch, SimulationSettings(seed=1))
 
 
 @pytest.fixture

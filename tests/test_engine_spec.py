@@ -94,12 +94,6 @@ class TestHashExclusions:
             == spec(tiny_arch).content_hash
         )
 
-    def test_backend_hash_excluded(self, tiny_arch):
-        assert (
-            spec(tiny_arch, backend="cupy").content_hash
-            == spec(tiny_arch).content_hash
-        )
-
     def test_fastforward_hash_excluded(self, tiny_arch):
         assert (
             spec(tiny_arch, fastforward=True).content_hash
@@ -107,10 +101,7 @@ class TestHashExclusions:
         )
 
     def test_settings_round_trip_carries_speed_knobs(self, tiny_arch):
-        s = spec(
-            tiny_arch, backend="numba", fastforward=True, kernel="epoch"
-        ).settings
-        assert s.backend == "numba"
+        s = spec(tiny_arch, fastforward=True, kernel="epoch").settings
         assert s.fastforward is True
         assert s.kernel == "epoch"
 
@@ -120,9 +111,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="iterations"):
             spec(tiny_arch, iterations=0)
 
-    def test_rejects_unknown_backend(self, tiny_arch):
-        with pytest.raises(ValueError, match="backend"):
-            spec(tiny_arch, backend="torch")
+    def test_rejects_bad_execution_knobs(self, tiny_arch):
+        # Refused at construction, before the engine lowers, verifies
+        # and retries the job.
+        with pytest.raises(ValueError, match="chunk_size"):
+            spec(tiny_arch, chunk_size=0)
+        with pytest.raises(ValueError, match="kernel"):
+            spec(tiny_arch, kernel="magic")
 
     def test_label_mentions_workload_and_config(self, tiny_arch):
         label = spec(tiny_arch).label

@@ -7,6 +7,7 @@ import pytest
 
 from repro.balance.config import BalanceConfig
 from repro.core.io import restore_result, result_metadata
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.engine import JobSpec, ResultStore
 from repro.workloads.multiply import ParallelMultiplication
@@ -31,9 +32,11 @@ def spec(small_arch, workload):
 
 @pytest.fixture
 def result(small_arch, spec):
-    simulator = EnduranceSimulator(small_arch, seed=spec.seed)
+    simulator = EnduranceSimulator(
+        small_arch, SimulationSettings(seed=spec.seed, track_reads=True)
+    )
     return simulator.run(
-        spec.workload, spec.config, spec.iterations, track_reads=True
+        spec.workload, spec.config, spec.iterations
     )
 
 
@@ -171,12 +174,11 @@ class TestManifestReadApi:
     ):
         import numpy as np
 
-        from repro.core.backend import blas_implementation
+        from repro.engine.store import blas_implementation
 
         store = ResultStore(tmp_path)
         store.save(spec, result)
         manifest = store.load_manifest(spec)
-        assert manifest["backend"] == spec.backend
         assert manifest["fastforward"] == spec.fastforward
         assert manifest["numpy_version"] == np.__version__
         assert manifest["blas"] == blas_implementation()

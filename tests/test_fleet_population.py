@@ -5,6 +5,7 @@ import pytest
 
 from repro.balance.config import BalanceConfig
 from repro.core.failure import failure_timeline, minimum_footprint
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.devices.endurance import LognormalEndurance, UniformEndurance
 from repro.fleet import (
@@ -22,7 +23,7 @@ from repro.workloads.vectoradd import VectorAdd
 def add_result():
     arch_module = pytest.importorskip("repro.array.architecture")
     arch = arch_module.default_architecture(128, 128)
-    sim = EnduranceSimulator(arch, seed=0)
+    sim = EnduranceSimulator(arch, SimulationSettings(seed=0))
     return sim.run(VectorAdd(bits=32), BalanceConfig(), 200)
 
 

@@ -172,7 +172,7 @@ class TestCheckpointResume:
 class TestSpecIdentity:
     def test_execution_knobs_excluded_from_hash(self):
         base = one_array_spec()
-        assert base.content_hash == one_array_spec(kernel="python").content_hash
+        assert base.content_hash == one_array_spec(kernel="epoch").content_hash
         assert base.content_hash == one_array_spec(chunk_size=64).content_hash
 
     def test_result_changing_knobs_change_hash(self):
@@ -195,6 +195,10 @@ class TestSpecIdentity:
             one_array_spec(days=0)
         with pytest.raises(ValueError, match="cohort_iterations"):
             one_array_spec(cohort_iterations=0)
+        with pytest.raises(ValueError, match="kernel"):
+            one_array_spec(kernel="magic", chunk_size=0)
+        with pytest.raises(ValueError, match="chunk_size"):
+            one_array_spec(chunk_size=0)
 
 
 class TestStoreIntegration:

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from repro.core.settings import SimulationSettings
 from repro.gates.library import MAJ_LIBRARY, NAND_LIBRARY
 from repro.gates.ops import GateOp
 from repro.synth.adders import full_adder, half_adder, ripple_carry_add
@@ -123,13 +124,13 @@ class TestMajEndurancePayoff:
         maj_arch = replace(small_arch, library=MAJ_LIBRARY, name="CRAM-MAJ")
         workload = ParallelMultiplication(bits=8)
         nand_life = lifetime_from_result(
-            EnduranceSimulator(nand_arch, seed=0).run(
-                workload, BalanceConfig(), 200, track_reads=False
-            )
+            EnduranceSimulator(
+                nand_arch, SimulationSettings(seed=0, track_reads=False)
+            ).run(workload, BalanceConfig(), 200)
         )
         maj_life = lifetime_from_result(
-            EnduranceSimulator(maj_arch, seed=0).run(
-                workload, BalanceConfig(), 200, track_reads=False
-            )
+            EnduranceSimulator(
+                maj_arch, SimulationSettings(seed=0, track_reads=False)
+            ).run(workload, BalanceConfig(), 200)
         )
         assert maj_life.iterations_to_failure > 1.5 * nand_life.iterations_to_failure

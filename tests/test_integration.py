@@ -9,6 +9,7 @@ from repro import (
     DotProduct,
     EnduranceSimulator,
     ParallelMultiplication,
+    SimulationSettings,
     default_architecture,
     lifetime_from_result,
     lifetime_improvement,
@@ -23,7 +24,7 @@ def arch():
 
 @pytest.fixture(scope="module")
 def sim(arch):
-    return EnduranceSimulator(arch, seed=2024)
+    return EnduranceSimulator(arch, SimulationSettings(seed=2024))
 
 
 class TestPaperStructure:
@@ -138,10 +139,14 @@ class TestLifetimeRealism:
         workload = ParallelMultiplication(bits=16)
         configs = [BalanceConfig.from_label(l) for l in ("StxSt", "RaxRa")]
         grid1 = configuration_grid(
-            EnduranceSimulator(arch, seed=3), workload, 500, configs=configs
+            EnduranceSimulator(
+                arch, SimulationSettings(seed=3)
+            ), workload, 500, configs=configs
         )
         grid2 = configuration_grid(
-            EnduranceSimulator(arch, seed=3), workload, 500, configs=configs
+            EnduranceSimulator(
+                arch, SimulationSettings(seed=3)
+            ), workload, 500, configs=configs
         )
         for a, b in zip(grid1, grid2):
             assert a.improvement == pytest.approx(b.improvement)

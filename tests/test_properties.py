@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.array.architecture import default_architecture
 from repro.balance.config import BalanceConfig
 from repro.balance.software import StrategyKind
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.core.writedist import WriteDistribution
 from repro.workloads.multiply import ParallelMultiplication
@@ -40,11 +41,13 @@ class TestConservationProperties:
         # Load balancing conserves wear; it only relocates it.
         arch = default_architecture(64, 32)
         workload = ParallelMultiplication(bits=4)
-        sim = EnduranceSimulator(arch, seed=seed)
-        result = sim.run(workload, config, iterations=60, track_reads=False)
-        static = EnduranceSimulator(arch, seed=seed).run(
-            workload, BalanceConfig(), iterations=60, track_reads=False
+        sim = EnduranceSimulator(
+            arch, SimulationSettings(seed=seed, track_reads=False)
         )
+        result = sim.run(workload, config, iterations=60)
+        static = EnduranceSimulator(
+            arch, SimulationSettings(seed=seed, track_reads=False)
+        ).run(workload, BalanceConfig(), iterations=60)
         assert result.state.total_writes == pytest.approx(
             static.state.total_writes
         )
@@ -55,9 +58,11 @@ class TestConservationProperties:
         # No strategy can push the hottest cell below the perfect-balance
         # floor (total / cells), i.e. balance <= 1 always.
         arch = default_architecture(64, 32)
-        sim = EnduranceSimulator(arch, seed=seed)
+        sim = EnduranceSimulator(
+            arch, SimulationSettings(seed=seed, track_reads=False)
+        )
         result = sim.run(
-            ParallelMultiplication(bits=4), config, 60, track_reads=False
+            ParallelMultiplication(bits=4), config, 60
         )
         floor = result.state.total_writes / arch.geometry.n_cells
         assert result.state.max_writes >= floor - 1e-9
@@ -67,12 +72,12 @@ class TestConservationProperties:
     def test_hardware_remapping_weakly_levels(self, seed):
         arch = default_architecture(64, 32)
         workload = ParallelMultiplication(bits=4)
-        static = EnduranceSimulator(arch, seed=seed).run(
-            workload, BalanceConfig(), 60, track_reads=False
-        )
-        hardware = EnduranceSimulator(arch, seed=seed).run(
-            workload, BalanceConfig(hardware=True), 60, track_reads=False
-        )
+        static = EnduranceSimulator(
+            arch, SimulationSettings(seed=seed, track_reads=False)
+        ).run(workload, BalanceConfig(), 60)
+        hardware = EnduranceSimulator(
+            arch, SimulationSettings(seed=seed, track_reads=False)
+        ).run(workload, BalanceConfig(hardware=True), 60)
         assert hardware.state.max_writes <= static.state.max_writes + 1e-9
 
 

@@ -58,6 +58,21 @@ VERIFY_ALL = {
     "verify_program", "verify_self", "verify_spec",
 }
 
+CORE_ALL = {
+    "AccuracyReport", "ArrayFarm", "BufferPool", "ClusterResult",
+    "EVALUATORS", "EnduranceSimulator", "FailureTimeline", "FarmLifetime",
+    "LifetimeEstimate", "PERIODIC_KINDS", "PartitionedDotProduct",
+    "SCRATCH_POOL", "SimulationResult", "SimulationSettings",
+    "SwitchingProfile", "WriteDistribution", "array_write_budget",
+    "cell_failure_times", "configuration_grid",
+    "eq1_operations_until_total_failure", "eq2_seconds_until_total_failure",
+    "failure_timeline", "fastforward_eligible", "fastforward_period",
+    "lifetime_at_duty_cycle", "lifetime_from_result", "lifetime_improvement",
+    "measure_fault_accuracy", "measure_switching", "minimum_footprint",
+    "offset_death_times", "remap_frequency_sweep", "run_fastforward_epochs",
+    "strategy_period", "technology_sweep",
+}
+
 ENGINE_ALL = {
     "BatchMetrics", "EngineError", "EngineHooks", "ExperimentEngine",
     "JobOutcome", "JobStatus", "JobSpec", "ResultStore", "SPEC_VERSION",
@@ -121,6 +136,7 @@ TELEMETRY_ALL = {
         ("repro.verify", VERIFY_ALL),
         ("repro.workloads", WORKLOADS_ALL),
         ("repro.workloads.trace", TRACE_ALL),
+        ("repro.core", CORE_ALL),
     ],
 )
 class TestPublicSurface:

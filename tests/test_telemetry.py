@@ -258,13 +258,13 @@ class TestSummaries:
     def test_summarize_merges_counters_last_write_wins(self):
         records = [
             {"ts": 1.0, "event": "counters",
-             "counters": {"fleet.days": 10, "backend.pool.hits": 3}},
+             "counters": {"fleet.days": 10, "pool.hits": 3}},
             {"ts": 2.0, "event": "counters",
              "counters": {"fleet.days": 25}},
         ]
         summary = summarize_trace(records)
         assert summary["counters"] == {
-            "backend.pool.hits": 3,
+            "pool.hits": 3,
             "fleet.days": 25,
         }
 
@@ -274,13 +274,13 @@ class TestSummaries:
                 {"ts": 1.0, "event": "fleet_window", "day": 8, "days": 8,
                  "alive": 2, "served": 16},
                 {"ts": 2.0, "event": "counters",
-                 "counters": {"fleet.windows": 1, "backend.pool.hits": 7}},
+                 "counters": {"fleet.windows": 1, "pool.hits": 7}},
             ]
         )
         text = format_stats(summary)
         assert "fleet: 8 virtual day(s), 0 checkpoint(s), 1 window(s)" in text
         assert "counters:" in text
-        assert "backend.pool.hits" in text
+        assert "pool.hits" in text
         assert "fleet.windows" in text
 
     def test_summarize_censuses_diagnostic_codes(self):

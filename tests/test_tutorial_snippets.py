@@ -5,6 +5,7 @@ import pytest
 from repro import (
     BalanceConfig,
     EnduranceSimulator,
+    SimulationSettings,
     configuration_grid,
     default_architecture,
     failure_timeline,
@@ -78,7 +79,7 @@ class TestTutorialFlow:
         assert outputs["d"] == 123 * 45 + 678
 
     def test_step3_simulation_and_balancing(self, arch):
-        sim = EnduranceSimulator(arch, seed=42)
+        sim = EnduranceSimulator(arch, SimulationSettings(seed=42))
         workload = FusedMultiplyAdd()
         static = sim.run(workload, BalanceConfig(), iterations=200)
         balanced = sim.run(
@@ -93,7 +94,7 @@ class TestTutorialFlow:
         )
 
     def test_step3_grid(self, arch):
-        sim = EnduranceSimulator(arch, seed=42)
+        sim = EnduranceSimulator(arch, SimulationSettings(seed=42))
         entries = configuration_grid(
             sim,
             FusedMultiplyAdd(),
@@ -103,7 +104,7 @@ class TestTutorialFlow:
         assert len(entries) == 2
 
     def test_step4_deeper_questions(self, arch):
-        sim = EnduranceSimulator(arch, seed=42)
+        sim = EnduranceSimulator(arch, SimulationSettings(seed=42))
         workload = FusedMultiplyAdd()
         result = sim.run(workload, BalanceConfig(), iterations=200)
         sweep = technology_sweep(result, [MRAM, RRAM, PCM])
@@ -130,7 +131,7 @@ class TestTutorialFlow:
         )
 
     def test_step5_persistence(self, arch, tmp_path):
-        sim = EnduranceSimulator(arch, seed=42)
+        sim = EnduranceSimulator(arch, SimulationSettings(seed=42))
         result = sim.run(FusedMultiplyAdd(), BalanceConfig(), iterations=50)
         path = str(tmp_path / "fma.npz")
         save_result(result, path)
