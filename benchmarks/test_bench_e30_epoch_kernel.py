@@ -10,6 +10,10 @@ amortizes away while the results stay bit-identical.
 
 Both kernels are timed on the same simulator configuration; the batched
 path must be at least 10x faster and produce the exact same counters.
+The per-epoch loop is the test-only reference
+``repro.core.kernel.run_epoch_loop``; it runs through the same
+``EnduranceSimulator.run`` call, substituted for the batched kernel the
+simulator calls.
 Beyond the plain-text artifact this benchmark writes a machine-readable
 ``BENCH_E30.json`` (configuration, iterations/second for each kernel,
 speedup) so downstream tooling can track the ratio over time.
@@ -17,12 +21,15 @@ speedup) so downstream tooling can track the ratio over time.
 
 import json
 import time
+from unittest import mock
 
 import numpy as np
 
+import repro.core.simulator
 from conftest import bench_iterations
 from repro.array.architecture import default_architecture
 from repro.balance.config import BalanceConfig
+from repro.core.kernel import run_batched_epochs, run_epoch_loop
 from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.workloads.multiply import ParallelMultiplication
@@ -36,21 +43,22 @@ def _iterations() -> int:
     return max(bench_iterations(MIN_ITERATIONS), MIN_ITERATIONS)
 
 
-def _run(kernel: str):
+def _run(kernel):
     simulator = EnduranceSimulator(
-        default_architecture(), SimulationSettings(seed=7, kernel=kernel)
+        default_architecture(), SimulationSettings(seed=7)
     )
     workload = ParallelMultiplication(bits=32)
     config = BalanceConfig.from_label("RaxRa", recompile_interval=1)
-    start = time.perf_counter()
-    result = simulator.run(workload, config, iterations=_iterations())
-    return result, time.perf_counter() - start
+    with mock.patch.object(repro.core.simulator, "run_batched_epochs", kernel):
+        start = time.perf_counter()
+        result = simulator.run(workload, config, iterations=_iterations())
+        return result, time.perf_counter() - start
 
 
 def test_bench_e30_epoch_kernel_speedup(record, results_dir):
     iterations = _iterations()
-    batched, batched_s = _run("batched")
-    sequential, sequential_s = _run("epoch")
+    batched, batched_s = _run(run_batched_epochs)
+    sequential, sequential_s = _run(run_epoch_loop)
 
     assert np.array_equal(
         batched.state.write_counts, sequential.state.write_counts

@@ -22,8 +22,8 @@ Examples::
     repro-endurance heatmap --trace trace.jsonl --progress
     repro-endurance stats trace.jsonl
 
-Every simulation-backed subcommand accepts the full settings flag set
-(``--seed`` / ``--kernel`` / ``--chunk-size``), the engine flags
+Every simulation-backed subcommand accepts the settings flags
+(``--seed`` / ``--fast-forward``), the engine flags
 (``--jobs`` / ``--cache-dir``), and the telemetry flags (``--log-level``
 / ``--trace FILE`` / ``--progress``) — both before and after the
 subcommand name.
@@ -116,18 +116,13 @@ def _make_workload(name: str):
 
 def _make_settings(args) -> SimulationSettings:
     """The :class:`SimulationSettings` described by the parsed flags."""
-    try:
-        return SimulationSettings(
-            seed=args.seed,
-            kernel=getattr(args, "kernel", "batched"),
-            chunk_size=getattr(args, "chunk_size", None),
-            fastforward=getattr(args, "fast_forward", False),
-            log_level=getattr(args, "log_level", None),
-            trace_path=getattr(args, "trace", None),
-            progress=getattr(args, "progress", False),
-        )
-    except ValueError as exc:
-        raise SystemExit(f"repro-endurance: error: {exc}") from None
+    return SimulationSettings(
+        seed=args.seed,
+        fastforward=getattr(args, "fast_forward", False),
+        log_level=getattr(args, "log_level", None),
+        trace_path=getattr(args, "trace", None),
+        progress=getattr(args, "progress", False),
+    )
 
 
 def _make_simulator(args) -> EnduranceSimulator:
@@ -182,14 +177,6 @@ def _add_sim_flags(parser) -> None:
     """
     parser.add_argument(
         "--seed", type=int, default=argparse.SUPPRESS, help="RNG seed"
-    )
-    parser.add_argument(
-        "--kernel", choices=("batched", "epoch"),
-        default=argparse.SUPPRESS, help="simulation kernel",
-    )
-    parser.add_argument(
-        "--chunk-size", type=int, default=argparse.SUPPRESS,
-        help="epochs per GEMM for the batched kernel",
     )
     parser.add_argument(
         "--fast-forward", action="store_true", default=argparse.SUPPRESS,
@@ -382,7 +369,6 @@ def cmd_switching(args) -> None:
         program,
         samples=args.samples,
         rng=args.seed,
-        evaluator=args.evaluator,
     )
     say(
         f"{args.bits}-bit multiply, {args.samples} random-operand samples:\n"
@@ -474,8 +460,6 @@ def cmd_fleet(args) -> int:
         rows=args.rows,
         cols=args.cols,
         cohort_iterations=args.cohort_iterations,
-        kernel=settings.kernel,
-        chunk_size=settings.chunk_size,
         fastforward=settings.fastforward,
         window=args.window,
     )
@@ -720,17 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cols", type=int, default=1024, help="array columns")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed")
     parser.add_argument(
-        "--kernel", choices=("batched", "epoch"), default="batched",
-        help="simulation kernel: chunked GEMM accumulation across epochs "
-             "(batched, default) or the per-epoch loop (epoch); "
-             "bit-identical results",
-    )
-    parser.add_argument(
-        "--chunk-size", type=int, default=None,
-        help="epochs per GEMM for the batched kernel (speed/memory knob; "
-             "never changes results)",
-    )
-    parser.add_argument(
         "--fast-forward", action="store_true", default=False,
         help="extrapolate steady-state wear analytically instead of "
              "simulating every epoch; bit-identical on eligible "
@@ -820,12 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("switching", help="data-dependent switching wear")
     p.add_argument("--bits", type=int, default=16)
     p.add_argument("--samples", type=int, default=32)
-    p.add_argument(
-        "--evaluator",
-        default="compiled",
-        choices=("compiled", "interpreted"),
-        help="functional backend (identical results; compiled is faster)",
-    )
     p.set_defaults(func=cmd_switching)
 
     p = sub.add_parser("deployment", help="duty-cycle / array-farm lifetimes")

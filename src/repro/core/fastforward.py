@@ -23,9 +23,12 @@ A run of ``E`` full epochs therefore splits as ``E = q * P + r``, and
 where ``S_period`` sums one period of epoch contributions, ``S_prefix``
 the first ``r`` of them, and ``S_remainder`` the final short epoch (if
 ``iterations`` is not a multiple of the recompile interval). All
-quantities are integer-valued float64 well below 2^53, so the analytic
-sum is **bit-identical** to simulating every epoch — lifetime and
-``failure_timeline`` answers in O(period) instead of O(iterations).
+quantities are integer-valued float64, so while every counter stays
+below 2^53 the analytic sum is **bit-identical** to simulating every
+epoch — lifetime and ``failure_timeline`` answers in O(period) time and
+memory instead of O(iterations). Past 2^53 counters would round, so the
+simulator refuses such horizons up front (diagnostic RPR019 via
+:func:`repro.verify.check_count_horizon`).
 
 Random shuffling (``Ra``) draws a fresh permutation per epoch and
 wear-aware mapping (``Wa``) feeds accumulated state back into the next
@@ -46,7 +49,7 @@ from repro.array.state import ArrayState
 from repro.balance.config import BalanceConfig
 from repro.balance.hardware import HardwareRemapper
 from repro.balance.software import StrategyKind
-from repro.core.kernel import epoch_lengths, make_epoch_maps
+from repro.core.kernel import make_epoch_maps
 from repro.core.scratch import SCRATCH_POOL
 from repro.synth.program import LaneProgram
 from repro.telemetry import get_telemetry
@@ -115,9 +118,11 @@ def run_fastforward_epochs(
     """Accumulate a whole run into ``state`` analytically.
 
     Bit-identical to :func:`repro.core.kernel.run_batched_epochs` (and
-    hence to the per-epoch oracle) on eligible configs, at O(period)
-    cost: at most ``min(P, E)`` full epochs plus one remainder epoch are
-    materialized, however many millions the horizon spans.
+    hence to the per-epoch reference :func:`~repro.core.kernel.run_epoch_loop`)
+    on eligible configs, at O(period) cost in time and memory: at most
+    ``min(P, E)`` full epochs plus one remainder epoch are materialized,
+    however many millions the horizon spans. Exact while every counter
+    stays below 2**53; the simulator refuses longer horizons (RPR019).
 
     Args:
         architecture: The PIM design (geometry, orientation, pre-sets).
@@ -144,9 +149,9 @@ def run_fastforward_epochs(
         )
     if config.hardware and remappers is None:
         raise ValueError("hardware re-mapping requires remappers")
+    if iterations <= 0:
+        raise ValueError("iterations must be positive")
 
-    lengths = epoch_lengths(config, iterations)
-    total_epochs = int(lengths.size)
     if config.needs_recompilation:
         interval = config.recompile_interval
         full_epochs, remainder = divmod(iterations, interval)
@@ -154,6 +159,7 @@ def run_fastforward_epochs(
         # St x St (+Hw): a single continuous epoch; period 1 by definition.
         interval, full_epochs, remainder = iterations, 1, 0
 
+    total_epochs = full_epochs + (1 if remainder else 0)
     period = fastforward_period(config, lane_size, lane_count)
     q, r = divmod(full_epochs, period)
     block = min(period, full_epochs)  # epochs actually materialized

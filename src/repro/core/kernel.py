@@ -30,9 +30,12 @@ keeps an O(lane_count)-per-epoch incremental wear vector (per-lane totals
 are invariant under within-lane permutation, so cell-level accumulation
 still defers to the chunk-end GEMM).
 
-``EnduranceSimulator.run`` uses this kernel by default; the per-epoch
-loop survives as the property-test oracle (``kernel="epoch"``), driven by
-the same permutation stream so the two are bit-identical.
+``EnduranceSimulator.run`` uses this kernel unless fast-forward is set.
+:func:`run_epoch_loop` is the reference it is tested against: one epoch
+at a time, one outer product per program group, driven by the same
+permutation stream so the two are bit-identical. Nothing in the
+library calls it; tests substitute it for the kernel the simulator
+calls.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.array.architecture import PIMArchitecture
+from repro.array.executor import accumulate_assignment
 from repro.array.state import ArrayState
 from repro.balance.config import BalanceConfig
 from repro.balance.hardware import HardwareRemapper
@@ -58,9 +62,6 @@ from repro.telemetry import get_telemetry
 #: ``chunk x lane_size`` matrices (~8 MB each at the paper's geometry)
 #: while amortizing permutation generation and the BLAS call.
 DEFAULT_CHUNK_SIZE = 1024
-
-#: The simulator's two execution paths.
-KERNELS = ("batched", "epoch")
 
 
 def epoch_lengths(config: BalanceConfig, iterations: int) -> np.ndarray:
@@ -294,3 +295,70 @@ def run_batched_epochs(
     tele.count("kernel.gemms", gemms)
     tele.gauge("kernel.chunk_size", chunk)
     return total_epochs
+
+
+def run_epoch_loop(
+    architecture: PIMArchitecture,
+    config: BalanceConfig,
+    state: ArrayState,
+    rng: np.random.Generator,
+    groups: Dict[int, Tuple[LaneProgram, List[int]]],
+    iterations: int,
+    *,
+    remappers: Optional[Dict[int, HardwareRemapper]] = None,
+    lane_loads: Optional[np.ndarray] = None,
+    track_reads: bool = True,
+) -> int:
+    """The sequential per-epoch reference for :func:`run_batched_epochs`.
+
+    Same arguments and result, minus ``chunk_size``. Permutations come
+    from :func:`make_epoch_maps` one epoch at a time, which consumes the
+    random stream exactly as the batched kernel's chunked draws do; each
+    epoch then adds one outer product per program group
+    (:func:`repro.array.executor.accumulate_assignment`, or the
+    remapper's closed-form profile under hardware re-mapping), and the
+    wear-aware strategy is resolved against the accumulated state
+    itself rather than an incremental wear vector.
+    """
+    lane_size = architecture.lane_size
+    lane_count = architecture.lane_count
+    orientation = architecture.orientation
+    assignment = {
+        lane: program for program, lanes in groups.values() for lane in lanes
+    }
+    lengths = epoch_lengths(config, iterations)
+    for epoch, length in enumerate(lengths.tolist()):
+        within_maps, between_maps = make_epoch_maps(
+            config.within,
+            config.between,
+            lane_size,
+            lane_count,
+            1,
+            rng,
+            epoch_start=epoch,
+        )
+        within = within_maps[0]
+        if between_maps is None:  # wear-aware: resolved against state
+            wear = state.lane_view(state.write_counts, orientation).sum(axis=0)
+            between = wear_aware_permutation(lane_loads, wear)
+        else:
+            between = between_maps[0]
+        if not config.hardware:
+            accumulate_assignment(
+                architecture,
+                assignment,
+                state,
+                within_map=within,
+                between_map=between,
+                repetitions=float(length),
+                track_reads=track_reads,
+            )
+            continue
+        for key, (_, lanes) in groups.items():
+            writes, reads = remappers[key].profile(length, within)
+            lane_weights = np.zeros(lane_count)
+            np.add.at(lane_weights, between[np.asarray(lanes)], 1.0)
+            state.add_lane_profile(writes, lane_weights, orientation, "write")
+            if track_reads:
+                state.add_lane_profile(reads, lane_weights, orientation, "read")
+    return int(lengths.size)

@@ -9,10 +9,12 @@ time."
 
 The simulation is exact, not sampled: between software recompiles the
 logical wear profile is constant, so an epoch's contribution is an outer
-product (``repro.array.executor.accumulate_assignment``); hardware
-re-mapping within an epoch is resolved in closed form by the permutation-
-cycle algebra (``repro.balance.hardware``). Both paths are property-tested
-against naive instruction-by-instruction replay.
+product, and the batched kernel (``repro.core.kernel``) sums chunks of
+epochs in one GEMM; hardware re-mapping within an epoch is resolved in
+closed form by the permutation-cycle algebra (``repro.balance.hardware``).
+Each run takes one path: the analytic fast-forward
+(``repro.core.fastforward``) when ``settings.fastforward`` is set,
+otherwise the batched kernel.
 
 Epoch semantics: software strategies re-map at recompile boundaries (every
 ``recompile_interval`` iterations); recompilation reinstalls the full
@@ -25,24 +27,24 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.array.architecture import PIMArchitecture
-from repro.array.executor import accumulate_assignment
 from repro.array.state import ArrayState
 from repro.balance.config import BalanceConfig
 from repro.balance.hardware import HardwareRemapper
-from repro.balance.software import StrategyKind, wear_aware_permutation
+from repro.balance.software import StrategyKind
 from repro.core.fastforward import run_fastforward_epochs
-from repro.core.kernel import make_epoch_maps, run_batched_epochs
+from repro.core.kernel import run_batched_epochs
 from repro.core.settings import SimulationSettings
 from repro.core.writedist import WriteDistribution
 from repro.telemetry import get_telemetry
 from repro.verify import (
     VerificationError,
     VerifyReport,
+    check_count_horizon,
     check_fastforward,
     verify_mapping,
 )
@@ -116,7 +118,7 @@ class EnduranceSimulator:
     Args:
         architecture: The PIM array design under test.
         settings: The unified knob set (:class:`SimulationSettings`) —
-            seed, kernel, chunk size, read tracking, telemetry options.
+            seed, fast-forward, read tracking, telemetry options.
     """
 
     def __init__(
@@ -137,16 +139,6 @@ class EnduranceSimulator:
     def seed(self) -> int:
         """The settings' base RNG seed."""
         return self.settings.seed
-
-    @property
-    def kernel(self) -> str:
-        """The settings' default execution path."""
-        return self.settings.kernel
-
-    @property
-    def chunk_size(self) -> "int | None":
-        """The settings' batched-kernel epochs-per-GEMM."""
-        return self.settings.chunk_size
 
     # ------------------------------------------------------------------
 
@@ -183,8 +175,14 @@ class EnduranceSimulator:
         self._verify(mapping, config)
         if effective.fastforward:
             # Refuse, never approximate: non-periodic configs (Ra, Wa)
-            # have no steady state to extrapolate (diagnostic RPR011).
-            report = VerifyReport(check_fastforward(config))
+            # have no steady state to extrapolate (RPR011), and past
+            # 2**53 a float64 counter rounds (RPR019).
+            report = VerifyReport(
+                check_fastforward(config)
+                + check_count_horizon(
+                    mapping, config, iterations, effective.track_reads
+                )
+            )
             if report.errors:
                 raise VerificationError(report)
         architecture = self.architecture
@@ -204,7 +202,8 @@ class EnduranceSimulator:
             if config.between is StrategyKind.WEAR_AWARE
             else None
         )
-        with tele.timed_phase("kernel", kernel=effective.kernel):
+        path = "fastforward" if effective.fastforward else "batched"
+        with tele.timed_phase("kernel", kernel=path):
             if effective.fastforward:
                 epochs = run_fastforward_epochs(
                     architecture,
@@ -215,7 +214,7 @@ class EnduranceSimulator:
                     remappers=remappers if config.hardware else None,
                     track_reads=effective.track_reads,
                 )
-            elif effective.kernel == "batched":
+            else:
                 epochs = run_batched_epochs(
                     architecture,
                     config,
@@ -226,19 +225,6 @@ class EnduranceSimulator:
                     remappers=remappers if config.hardware else None,
                     lane_loads=lane_loads,
                     track_reads=effective.track_reads,
-                    chunk_size=effective.chunk_size,
-                )
-            else:
-                epochs = self._run_epoch_loop(
-                    mapping,
-                    config,
-                    state,
-                    rng,
-                    groups,
-                    remappers,
-                    lane_loads,
-                    iterations,
-                    effective.track_reads,
                 )
 
         elapsed = time.perf_counter() - start
@@ -255,7 +241,7 @@ class EnduranceSimulator:
                 config=config.label,
                 iterations=iterations,
                 epochs=epochs,
-                kernel=effective.kernel,
+                kernel=path,
                 seed=effective.seed,
                 seconds=round(elapsed, 6),
                 epochs_per_s=round(epochs / elapsed, 2) if elapsed > 0 else 0.0,
@@ -275,70 +261,6 @@ class EnduranceSimulator:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-
-    def _run_epoch_loop(
-        self,
-        mapping: WorkloadMapping,
-        config: BalanceConfig,
-        state: ArrayState,
-        rng: np.random.Generator,
-        groups: Dict[int, Tuple[object, List[int]]],
-        remappers: Dict[int, HardwareRemapper],
-        lane_loads: "np.ndarray | None",
-        iterations: int,
-        track_reads: bool,
-    ) -> int:
-        """The sequential per-epoch path — the batched kernel's oracle.
-
-        Permutations come from :func:`make_epoch_maps` one epoch at a
-        time, which consumes the random stream exactly as the batched
-        kernel's chunked draws do, so both paths are bit-identical.
-        """
-        architecture = self.architecture
-        lane_size = architecture.lane_size
-        lane_count = architecture.lane_count
-        orientation = architecture.orientation
-        epochs = 0
-        for epoch, length in self._epochs(config, iterations):
-            epochs += 1
-            within_maps, between_maps = make_epoch_maps(
-                config.within,
-                config.between,
-                lane_size,
-                lane_count,
-                1,
-                rng,
-                epoch_start=epoch,
-            )
-            within = within_maps[0]
-            if between_maps is None:  # wear-aware: resolved against state
-                wear = state.lane_view(state.write_counts, orientation).sum(
-                    axis=0
-                )
-                between = wear_aware_permutation(lane_loads, wear)
-            else:
-                between = between_maps[0]
-            if config.hardware:
-                self._accumulate_hardware_epoch(
-                    state,
-                    groups,
-                    remappers,
-                    within,
-                    between,
-                    length,
-                    track_reads,
-                )
-            else:
-                accumulate_assignment(
-                    architecture,
-                    mapping.assignment,
-                    state,
-                    within_map=within,
-                    between_map=between,
-                    repetitions=float(length),
-                    track_reads=track_reads,
-                )
-        return epochs
 
     def _verify(self, mapping: WorkloadMapping, config: BalanceConfig) -> None:
         """Statically check the mapping/config pair before simulating.
@@ -392,36 +314,3 @@ class EnduranceSimulator:
             entry = groups.setdefault(id(program), (program, []))
             entry[1].append(lane)
         return groups
-
-    @staticmethod
-    def _epochs(config: BalanceConfig, iterations: int) -> Iterator[Tuple[int, int]]:
-        """Yield ``(epoch_index, epoch_length)`` pairs covering the run."""
-        if not config.needs_recompilation:
-            yield 0, iterations
-            return
-        interval = config.recompile_interval
-        full, remainder = divmod(iterations, interval)
-        for epoch in range(full):
-            yield epoch, interval
-        if remainder:
-            yield full, remainder
-
-    def _accumulate_hardware_epoch(
-        self,
-        state: ArrayState,
-        groups: Dict[int, Tuple[object, List[int]]],
-        remappers: Dict[int, HardwareRemapper],
-        within: np.ndarray,
-        between: np.ndarray,
-        length: int,
-        track_reads: bool,
-    ) -> None:
-        orientation = self.architecture.orientation
-        lane_count = self.architecture.lane_count
-        for key, (program, lanes) in groups.items():
-            writes, reads = remappers[key].profile(length, within)
-            lane_weights = np.zeros(lane_count)
-            np.add.at(lane_weights, between[np.asarray(lanes)], 1.0)
-            state.add_lane_profile(writes, lane_weights, orientation, "write")
-            if track_reads:
-                state.add_lane_profile(reads, lane_weights, orientation, "read")

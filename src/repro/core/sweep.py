@@ -221,9 +221,8 @@ def remap_frequency_sweep(
         cache_dir: Engine result store (reuse/resume across runs).
         hooks: Engine progress hooks.
         settings: Simulation settings for every point. The batched
-            kernel (the default) is what makes the small-interval points
-            (down to re-mapping every iteration) affordable at full
-            horizons.
+            kernel is what makes the small-interval points (down to
+            re-mapping every iteration) affordable at full horizons.
 
     Returns:
         Interval -> lifetime improvement over the static baseline.

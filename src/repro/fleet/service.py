@@ -40,7 +40,6 @@ import numpy as np
 from repro.array.architecture import default_architecture
 from repro.balance.config import BalanceConfig
 from repro.core.failure import minimum_footprint
-from repro.core.settings import SimulationSettings
 from repro.engine.runner import ExperimentEngine, require_ok
 from repro.engine.spec import JobSpec
 from repro.engine.store import ResultStore
@@ -127,9 +126,10 @@ class FleetSpec:
     """Everything that determines a fleet campaign's outcome.
 
     Like :class:`~repro.engine.spec.JobSpec`, execution knobs that
-    cannot change results (``kernel``, ``chunk_size``) are carried for
-    convenience but excluded from the content hash, so a campaign keeps
-    its identity — and its checkpoints — across kernel switches.
+    cannot change results (``fastforward``, ``fleet_workers``,
+    ``window``) are carried for convenience but excluded from the
+    content hash, so a campaign keeps its identity — and its
+    checkpoints — across them.
 
     Attributes:
         population: The fleet's makeup.
@@ -145,8 +145,6 @@ class FleetSpec:
         rows: Cohort-calibration array rows.
         cols: Cohort-calibration array cols.
         cohort_iterations: Iterations for each cohort's wear simulation.
-        kernel: Simulation kernel (hash-excluded).
-        chunk_size: Batched-kernel chunk size (hash-excluded).
         fastforward: Calibrate cohorts through the analytic steady-state
             fast-forward when their configs are eligible (hash-excluded;
             bit-identical where accepted, refused via RPR011 otherwise).
@@ -173,8 +171,6 @@ class FleetSpec:
     rows: int = 1024
     cols: int = 1024
     cohort_iterations: int = 2000
-    kernel: str = "batched"
-    chunk_size: Optional[int] = None
     fastforward: bool = False
     fleet_workers: int = 1
     window: int = 0
@@ -193,8 +189,6 @@ class FleetSpec:
             raise ValueError("slo must be in (0, 1)")
         if self.cohort_iterations < 1:
             raise ValueError("cohort_iterations must be positive")
-        # Building the settings validates kernel and chunk_size.
-        SimulationSettings(kernel=self.kernel, chunk_size=self.chunk_size)
         if self.fleet_workers != 1:
             raise ValueError(
                 f"fleet_workers={self.fleet_workers} is not supported: the "
@@ -313,8 +307,6 @@ class FleetService:
                 config=BalanceConfig.from_label(cohort.config),
                 iterations=self.spec.cohort_iterations,
                 seed=self.spec.seed,
-                kernel=self.spec.kernel,
-                chunk_size=self.spec.chunk_size,
                 fastforward=self.spec.fastforward,
             )
             for cohort in self.spec.population.cohorts

@@ -50,6 +50,7 @@ from repro.verify.streams import (
 )
 from repro.verify.wear import (
     check_config,
+    check_count_horizon,
     check_fastforward,
     check_permutation_rows,
     check_profile_conservation,
@@ -68,6 +69,7 @@ __all__ = [
     "check_bounds",
     "check_checkpoint",
     "check_config",
+    "check_count_horizon",
     "check_dataflow",
     "check_draw_plan",
     "check_fastforward",

@@ -37,6 +37,7 @@ from repro.verify.lint import self_lint
 from repro.verify.streams import check_streams
 from repro.verify.wear import (
     check_config,
+    check_count_horizon,
     check_fastforward,
     check_profile_conservation,
     check_schedule,
@@ -292,9 +293,20 @@ def verify_spec(spec) -> VerifyReport:
     config = getattr(spec, "config", None)
     if config is not None and getattr(spec, "fastforward", False):
         # A spec that asks for the analytic fast-forward must also pass
-        # the RPR011 eligibility gate — the engine rejects it up front
-        # instead of failing (or worse, approximating) mid-dispatch.
-        report = report.merged(VerifyReport(check_fastforward(config)))
+        # the RPR011 eligibility and RPR019 horizon gates — the engine
+        # rejects it up front instead of failing (or worse,
+        # approximating) mid-dispatch.
+        report = report.merged(
+            VerifyReport(
+                check_fastforward(config)
+                + check_count_horizon(
+                    mapping,
+                    config,
+                    spec.iterations,
+                    getattr(spec, "track_reads", True),
+                )
+            )
+        )
     return report
 
 

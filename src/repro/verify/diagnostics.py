@@ -58,6 +58,7 @@ CODES: Dict[str, str] = {
     "RPR016": "window-batched draw order can diverge from the serial stream",
     "RPR017": "versioned artifact schema violation",
     "RPR018": "repo invariant violated (self-lint)",
+    "RPR019": "fast-forward horizon exceeds float64's exact integer range",
 }
 
 

@@ -59,8 +59,6 @@ MANIFEST_KEYS = frozenset(
         "content_hash",
         "label",
         "seed",
-        "kernel",
-        "chunk_size",
         "fastforward",
         "numpy_version",
         "blas",

@@ -40,6 +40,7 @@ __all__ = [
     "check_permutation_rows",
     "check_config",
     "check_fastforward",
+    "check_count_horizon",
     "check_schedule",
 ]
 
@@ -50,6 +51,10 @@ __all__ = [
 _FASTFORWARD_KINDS = frozenset(
     {StrategyKind.STATIC, StrategyKind.BYTE_SHIFT, StrategyKind.BIT_SHIFT}
 )
+
+#: float64 holds every integer below 2**53 exactly; a cell counter that
+#: reaches it silently rounds.
+EXACT_COUNT_LIMIT = 2**53
 
 #: Epochs sampled per strategy when validating permutation streams.
 PERMUTATION_SAMPLE_EPOCHS = 4
@@ -269,6 +274,51 @@ def check_fastforward(config: BalanceConfig) -> List[Diagnostic]:
             )
         )
     return diagnostics
+
+
+def check_count_horizon(
+    mapping, config: BalanceConfig, iterations: int, track_reads: bool = True
+) -> List[Diagnostic]:
+    """RPR019: can float64 cell counters hold ``iterations`` exactly?
+
+    The fast-forward's validity domain. Its sums are exact because every
+    counter is an integer-valued float64 below 2**53; past that a count
+    rounds with no error raised. The check bounds each cell's count by
+    ``iterations * c`` and refuses when that reaches 2**53, where ``c``
+    is a cell's maximum count per iteration:
+
+    * without hardware re-mapping, every epoch places each program's
+      profile on distinct cells, so ``c`` is the largest entry of any
+      program's write profile (and read profile when reads are tracked);
+    * with it, renaming may move all of a lane's traffic onto one cell
+      over a run, so ``c`` is a program's total writes (and reads) per
+      iteration — a sound upper bound, and renaming conserves those
+      totals (RPR006).
+    """
+    presets = mapping.architecture.presets_output
+    rate = 0
+    programs = {id(p): p for p in mapping.assignment.values()}.values()
+    for program in programs:
+        profiles = [program.write_counts(include_presets=presets)]
+        if track_reads:
+            profiles.append(program.read_counts())
+        for counts in profiles:
+            per_cell = counts.sum() if config.hardware else counts.max(initial=0)
+            rate = max(rate, int(per_cell))
+    if rate * int(iterations) < EXACT_COUNT_LIMIT:
+        return []
+    return [
+        Diagnostic(
+            "RPR019",
+            Severity.ERROR,
+            f"{iterations} iterations at up to {rate} counts per cell per "
+            f"iteration can reach {rate * int(iterations):.4g} counts, at "
+            "or past 2**53, where float64 counters stop being exact",
+            Location(place=f"config {config.label}"),
+            hint=f"at most {(EXACT_COUNT_LIMIT - 1) // rate} iterations "
+            "stay exact for this mapping",
+        )
+    ]
 
 
 def check_schedule(mapping) -> List[Diagnostic]:

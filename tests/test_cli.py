@@ -97,17 +97,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "switch fraction" in out
 
-    def test_switching_evaluators_agree(self, capsys):
-        argv = [
-            "--rows", "256", "--cols", "64",
-            "switching", "--bits", "6", "--samples", "8",
-        ]
-        main(argv + ["--evaluator", "compiled"])
-        compiled = capsys.readouterr().out
-        main(argv + ["--evaluator", "interpreted"])
-        interpreted = capsys.readouterr().out
-        assert compiled == interpreted
-
     def test_deployment(self, capsys):
         main([
             "--rows", "256", "--cols", "64",
@@ -344,15 +333,12 @@ class TestFlagAudit:
         args = parser.parse_args([
             command,
             "--jobs", "2", "--cache-dir", "x",
-            "--seed", "9", "--kernel", "epoch", "--chunk-size", "64",
-            "--fast-forward",
+            "--seed", "9", "--fast-forward",
             "--log-level", "info", "--trace", "t.jsonl", "--progress",
         ])
         assert args.jobs == 2
         assert args.cache_dir == "x"
         assert args.seed == 9
-        assert args.kernel == "epoch"
-        assert args.chunk_size == 64
         assert args.fast_forward is True
         assert args.log_level == "info"
         assert args.trace == "t.jsonl"
@@ -363,20 +349,12 @@ class TestFlagAudit:
         """Subcommand duplicates must not clobber main-parser values."""
         parser = build_parser()
         args = parser.parse_args(
-            ["--seed", "9", "--kernel", "epoch", "--trace", "t.jsonl",
-             "--fast-forward", command]
+            ["--seed", "9", "--trace", "t.jsonl", "--fast-forward", command]
         )
         assert args.seed == 9
-        assert args.kernel == "epoch"
         assert args.trace == "t.jsonl"
         assert args.fast_forward is True
 
-
-    def test_non_positive_chunk_size_exits_cleanly(self, capsys):
-        with pytest.raises(SystemExit, match="chunk_size"):
-            main(["--rows", "64", "--cols", "16", "--chunk-size", "0",
-                  "heatmap", "--workload", "mult", "--config", "RaxRa",
-                  "--iterations", "5"])
 
 
 class TestFastForwardFlag:
@@ -478,11 +456,22 @@ class TestVerifyWholeSystem:
         assert "RPR014" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "flags", [["--shard-plan", "plan.json"], ["--fleet-workers", "8"]]
+        "flags",
+        [
+            ["verify", "--fleet", "--shard-plan", "plan.json"],
+            ["verify", "--fleet", "--fleet-workers", "8"],
+            ["--kernel", "epoch", "heatmap"],
+            ["--chunk-size", "64", "heatmap"],
+            ["heatmap", "--kernel", "epoch"],
+            ["heatmap", "--chunk-size", "64"],
+            ["switching", "--evaluator", "interpreted"],
+        ],
     )
-    def test_removed_flags_are_usage_errors(self, flags):
-        with pytest.raises(SystemExit):
-            main(["verify", "--fleet", *flags])
+    def test_removed_flags_are_usage_errors(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(flags)
+        assert exc.value.code == 2
+        assert "repro-endurance: error:" in capsys.readouterr().err
 
     def test_self_lint_alone(self, capsys):
         assert main(["verify", "--self"]) == 0

@@ -9,9 +9,13 @@ halves across the strategy grid, recompile intervals, hardware
 re-mapping, and both entry points (simulator settings and engine spec).
 """
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import repro.core.simulator
 from repro.array.architecture import CRAM_ROW, default_architecture
 from repro.balance.config import BalanceConfig, all_configurations
 from repro.balance.software import StrategyKind
@@ -22,6 +26,7 @@ from repro.core.fastforward import (
     fastforward_period,
     strategy_period,
 )
+from repro.core.kernel import run_batched_epochs, run_epoch_loop
 from repro.core.lifetime import lifetime_from_result
 from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
@@ -42,16 +47,17 @@ ELIGIBLE = [
 INELIGIBLE_LABELS = ["RaxRa", "StxRa", "RaxSt", "StxWa", "RaxBs+Hw"]
 
 
-def _run(arch, config, iterations, *, fastforward, seed=3, kernel="batched"):
+def _run(arch, config, iterations, *, fastforward, seed=3,
+         kernel=run_batched_epochs):
+    """One simulator run; ``kernel`` stands in for the batched kernel."""
     sim = EnduranceSimulator(arch)
-    return sim.run(
-        ParallelMultiplication(bits=8),
-        config,
-        iterations=iterations,
-        settings=SimulationSettings(
-            seed=seed, kernel=kernel, fastforward=fastforward
-        ),
-    )
+    with mock.patch.object(repro.core.simulator, "run_batched_epochs", kernel):
+        return sim.run(
+            ParallelMultiplication(bits=8),
+            config,
+            iterations=iterations,
+            settings=SimulationSettings(seed=seed, fastforward=fastforward),
+        )
 
 
 def _assert_identical(a, b):
@@ -111,7 +117,8 @@ class TestBitIdentity:
     @pytest.mark.parametrize("config", ELIGIBLE[:4], ids=lambda c: c.label)
     def test_eligible_grid_matches_epoch_oracle(self, config):
         fast = _run(ARCH, config, 40, fastforward=True)
-        oracle = _run(ARCH, config, 40, fastforward=False, kernel="epoch")
+        oracle = _run(ARCH, config, 40, fastforward=False,
+                      kernel=run_epoch_loop)
         _assert_identical(fast, oracle)
 
     @pytest.mark.parametrize("interval", [1, 7, 100])
@@ -164,6 +171,72 @@ class TestBitIdentity:
             fast.state.write_counts, slow.state.write_counts
         )
         assert fast.state.read_counts.sum() == 0
+
+
+class TestHorizon:
+    """O(period) memory, and exact counts up to the 2**53 boundary."""
+
+    def test_projection_memory_is_o_period(self):
+        # One int64 per epoch would be 80 MB at this horizon.
+        config = BalanceConfig.from_label("BsxBs").with_interval(1)
+        sim = EnduranceSimulator(ARCH, SimulationSettings(fastforward=True))
+        workload = ParallelMultiplication(bits=8)
+        sim.run(workload, config, iterations=10)  # build + verify once
+        iterations = 10_000_000
+        tracemalloc.start()
+        try:
+            result = sim.run(workload, config, iterations=iterations)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert result.epochs == iterations
+        presets = ARCH.presets_output
+        per_iteration = sum(
+            int(program.write_counts(include_presets=presets).sum())
+            for program in result.mapping.assignment.values()
+        )
+        assert result.state.write_counts.sum() == per_iteration * iterations
+
+    def test_counts_exact_up_to_the_boundary(self):
+        # St x St puts the hottest profile entry on one cell every
+        # iteration, so the largest counter is exactly rate * iterations.
+        config = BalanceConfig.from_label("StxSt")
+        sim = EnduranceSimulator(ARCH, SimulationSettings(fastforward=True))
+        workload = ParallelMultiplication(bits=8)
+        mapping = workload.build(ARCH)
+        rate = max(
+            int(counts.max())
+            for program in mapping.assignment.values()
+            for counts in (
+                program.write_counts(include_presets=ARCH.presets_output),
+                program.read_counts(),
+            )
+        )
+        last = (2**53 - 1) // rate
+        result = sim.run(workload, config, iterations=last)
+        hottest = max(
+            result.state.write_counts.max(), result.state.read_counts.max()
+        )
+        assert int(hottest) == rate * last
+        with pytest.raises(VerificationError) as err:
+            sim.run(workload, config, iterations=last + 1)
+        assert "RPR019" in str(err.value)
+
+    def test_verify_spec_reports_rpr019(self):
+        from repro.engine import JobSpec
+
+        def spec(iterations):
+            return JobSpec(
+                workload=ParallelMultiplication(bits=8),
+                architecture=ARCH,
+                config=BalanceConfig.from_label("BsxBs"),
+                iterations=iterations,
+                fastforward=True,
+            )
+
+        assert "RPR019" in verify_spec(spec(2**53)).codes()
+        assert "RPR019" not in verify_spec(spec(10**6)).codes()
 
 
 class TestDownstreamAnswers:

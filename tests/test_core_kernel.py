@@ -1,17 +1,25 @@
 """Tests for repro.core.kernel: the batched path IS the epoch path.
 
 The batched kernel's whole contract is bit-identity with the sequential
-per-epoch loop — same permutation stream, same wear-aware decisions, same
-counters to the last bit — under any chunking. These tests pin that for
-the full strategy grid (including the stateful ``Wa`` path and hardware
-re-mapping), both pre-set accounting modes, and both lane orientations.
+per-epoch reference (:func:`repro.core.kernel.run_epoch_loop`) — same
+permutation stream, same wear-aware decisions, same counters to the last
+bit — under any chunking. These tests pin that for the full strategy
+grid (including the stateful ``Wa`` path and hardware re-mapping), both
+pre-set accounting modes, and both lane orientations. Each run goes
+through ``EnduranceSimulator.run`` with the kernel function it calls
+substituted: the reference loop, or the batched kernel at a fixed chunk
+size.
 """
+
+import functools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.simulator
 from repro.array.architecture import CRAM_ROW, PINATUBO, default_architecture
 from repro.balance.config import BalanceConfig, all_configurations
 from repro.balance.software import (
@@ -19,28 +27,44 @@ from repro.balance.software import (
     make_permutation,
     make_permutations,
 )
-from repro.core.kernel import epoch_lengths, make_epoch_maps
+from repro.core.kernel import (
+    epoch_lengths,
+    make_epoch_maps,
+    run_batched_epochs,
+    run_epoch_loop,
+)
 from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
+from repro.verify import VerificationError
 from repro.workloads.dotproduct import DotProduct
 from repro.workloads.multiply import ParallelMultiplication
+from repro.workloads.registry import get_workload
 
 
 ARCH = default_architecture(64, 16)
 
 
-def _run(arch, config, *, kernel, seed=3, iterations=40, chunk_size=None,
+def _chunked(chunk_size):
+    """The batched kernel at a fixed epochs-per-GEMM."""
+    return functools.partial(run_batched_epochs, chunk_size=chunk_size)
+
+
+def _run(arch, config, *, kernel=run_batched_epochs, seed=3, iterations=40,
          workload=None, track_reads=True):
-    settings = SimulationSettings(
-        seed=seed, kernel=kernel, chunk_size=chunk_size,
-        track_reads=track_reads,
+    """One simulator run with ``kernel`` in place of the batched kernel."""
+    sim = EnduranceSimulator(
+        arch, SimulationSettings(seed=seed, track_reads=track_reads)
     )
-    sim = EnduranceSimulator(arch, settings)
-    return sim.run(
-        workload or ParallelMultiplication(bits=8),
-        config,
-        iterations=iterations,
-    )
+    with mock.patch.object(
+        repro.core.simulator, "run_batched_epochs", wraps=kernel
+    ) as spy:
+        result = sim.run(
+            workload or ParallelMultiplication(bits=8),
+            config,
+            iterations=iterations,
+        )
+    spy.assert_called_once()
+    return result
 
 
 def _assert_identical(a, b):
@@ -55,8 +79,8 @@ class TestBitIdentity:
         ids=lambda c: c.label,
     )
     def test_all_18_configurations(self, config):
-        batched = _run(ARCH, config, kernel="batched", chunk_size=13)
-        sequential = _run(ARCH, config, kernel="epoch")
+        batched = _run(ARCH, config, kernel=_chunked(13))
+        sequential = _run(ARCH, config, kernel=run_epoch_loop)
         _assert_identical(batched, sequential)
 
     @pytest.mark.parametrize("interval", [1, 7, 50])
@@ -66,10 +90,9 @@ class TestBitIdentity:
             "RaxRa", recompile_interval=interval
         )
         batched = _run(
-            ARCH, config, kernel="batched", chunk_size=chunk_size,
-            iterations=60,
+            ARCH, config, kernel=_chunked(chunk_size), iterations=60,
         )
-        sequential = _run(ARCH, config, kernel="epoch", iterations=60)
+        sequential = _run(ARCH, config, kernel=run_epoch_loop, iterations=60)
         _assert_identical(batched, sequential)
 
     @given(
@@ -97,10 +120,10 @@ class TestBitIdentity:
             recompile_interval=interval,
         )
         batched = _run(
-            arch, config, kernel="batched", seed=seed, iterations=55,
-            chunk_size=chunk_size,
+            arch, config, kernel=_chunked(chunk_size), seed=seed,
+            iterations=55,
         )
-        sequential = _run(arch, config, kernel="epoch", seed=seed,
+        sequential = _run(arch, config, kernel=run_epoch_loop, seed=seed,
                           iterations=55)
         _assert_identical(batched, sequential)
 
@@ -119,11 +142,11 @@ class TestBitIdentity:
                 recompile_interval=1,
             )
             batched = _run(
-                ARCH, config, kernel="batched", chunk_size=7,
-                iterations=30, workload=workload,
+                ARCH, config, kernel=_chunked(7), iterations=30,
+                workload=workload,
             )
             sequential = _run(
-                ARCH, config, kernel="epoch", iterations=30,
+                ARCH, config, kernel=run_epoch_loop, iterations=30,
                 workload=workload,
             )
             _assert_identical(batched, sequential)
@@ -131,26 +154,38 @@ class TestBitIdentity:
     def test_row_parallel_orientation(self):
         arch = CRAM_ROW.resized(16, 64)
         config = BalanceConfig.from_label("RaxBs+Hw", recompile_interval=5)
-        batched = _run(arch, config, kernel="batched", chunk_size=3)
-        sequential = _run(arch, config, kernel="epoch")
+        batched = _run(arch, config, kernel=_chunked(3))
+        sequential = _run(arch, config, kernel=run_epoch_loop)
         _assert_identical(batched, sequential)
 
     def test_reads_untracked_parity(self):
         config = BalanceConfig.from_label("RaxRa", recompile_interval=3)
-        batched = _run(ARCH, config, kernel="batched", track_reads=False)
-        sequential = _run(ARCH, config, kernel="epoch", track_reads=False)
+        batched = _run(ARCH, config, track_reads=False)
+        sequential = _run(ARCH, config, kernel=run_epoch_loop,
+                          track_reads=False)
         _assert_identical(batched, sequential)
         assert batched.state.total_reads == 0
 
     def test_chunking_never_changes_results(self):
         config = BalanceConfig.from_label("RaxRa", recompile_interval=1)
-        reference = _run(ARCH, config, kernel="batched", iterations=50)
+        reference = _run(ARCH, config, iterations=50)
         for chunk_size in (1, 13, 1024):
             other = _run(
-                ARCH, config, kernel="batched", chunk_size=chunk_size,
-                iterations=50,
+                ARCH, config, kernel=_chunked(chunk_size), iterations=50,
             )
             _assert_identical(reference, other)
+
+    def test_mult_heatmap_random_every_iteration(self):
+        # The CLI heatmap's hardest case: the paper-scale multiply under
+        # RaxRa, recompiled every iteration, on a 256x64 array.
+        arch = default_architecture(256, 64)
+        config = BalanceConfig.from_label("RaxRa", recompile_interval=1)
+        workload = get_workload("mult")
+        batched = _run(arch, config, iterations=500, workload=workload)
+        sequential = _run(arch, config, kernel=run_epoch_loop,
+                          iterations=500, workload=workload)
+        _assert_identical(batched, sequential)
+        assert batched.epochs == 500
 
 
 class TestBatchedPermutations:
@@ -227,31 +262,26 @@ class TestEpochLengths:
 
 
 class TestKernelKnob:
-    def test_unknown_kernel_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="kernel"):
-            EnduranceSimulator(ARCH, SimulationSettings(kernel="magic"))
-
-    def test_unknown_kernel_rejected_at_run(self):
-        sim = EnduranceSimulator(ARCH)
-        with pytest.raises(ValueError, match="kernel"):
-            sim.run(
-                ParallelMultiplication(bits=8), BalanceConfig(),
-                iterations=5, settings=sim.settings.replace(kernel="magic"),
-            )
-
     def test_non_positive_chunk_rejected(self):
-        # Refused where the knob is written, never deep inside the kernel.
-        with pytest.raises(ValueError, match="chunk_size"):
-            EnduranceSimulator(ARCH, SimulationSettings(chunk_size=0))
+        # chunk_size is an argument of the kernel alone; no setting
+        # reaches it, so the kernel itself refuses a bad value.
+        config = BalanceConfig.from_label("RaxRa", recompile_interval=4)
+        for bad in (0, -4):
+            with pytest.raises(ValueError, match="chunk_size"):
+                _run(ARCH, config, kernel=_chunked(bad), iterations=8)
 
     def test_run_override_beats_simulator_default(self):
+        # fastforward is the one setting that picks the path: the
+        # simulator's default refuses RaxRa (RPR011), a per-run override
+        # runs it on the batched kernel.
         sim = EnduranceSimulator(
-            ARCH, SimulationSettings(seed=9, kernel="epoch")
+            ARCH, SimulationSettings(seed=9, fastforward=True)
         )
         config = BalanceConfig.from_label("RaxRa", recompile_interval=4)
-        a = sim.run(ParallelMultiplication(bits=8), config, iterations=20)
-        b = sim.run(
+        with pytest.raises(VerificationError, match="RPR011"):
+            sim.run(ParallelMultiplication(bits=8), config, iterations=20)
+        result = sim.run(
             ParallelMultiplication(bits=8), config, iterations=20,
-            settings=sim.settings.replace(kernel="batched"),
+            settings=sim.settings.replace(fastforward=False),
         )
-        _assert_identical(a, b)
+        _assert_identical(result, _run(ARCH, config, seed=9, iterations=20))

@@ -1,6 +1,7 @@
 """SimulationSettings: validation, settings paths, hash stability."""
 
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,32 +18,17 @@ class TestValidation:
     def test_defaults(self):
         s = SimulationSettings()
         assert s.seed == 0
-        assert s.kernel == "batched"
-        assert s.chunk_size is None
         assert s.track_reads is True
 
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="kernel"):
-            SimulationSettings(kernel="magic")
+    def test_fields(self):
+        assert [f.name for f in fields(SimulationSettings)] == [
+            "seed", "fastforward", "track_reads",
+            "log_level", "trace_path", "progress",
+        ]
 
     def test_unknown_log_level_rejected(self):
         with pytest.raises(ValueError, match="log_level"):
             SimulationSettings(log_level="loud")
-
-    def test_unknown_evaluator_rejected(self):
-        assert SimulationSettings().evaluator == "compiled"
-        assert (
-            SimulationSettings(evaluator="interpreted").evaluator
-            == "interpreted"
-        )
-        with pytest.raises(ValueError, match="evaluator"):
-            SimulationSettings(evaluator="magic")
-
-    def test_non_positive_chunk_size_rejected(self):
-        assert SimulationSettings(chunk_size=1).chunk_size == 1
-        for bad in (0, -4):
-            with pytest.raises(ValueError, match="chunk_size"):
-                SimulationSettings(chunk_size=bad)
 
     def test_fastforward_defaults_off(self):
         assert SimulationSettings().fastforward is False
@@ -54,8 +40,8 @@ class TestValidation:
     def test_replace_revalidates(self):
         s = SimulationSettings()
         assert s.replace(seed=3).seed == 3
-        with pytest.raises(ValueError, match="kernel"):
-            s.replace(kernel="magic")
+        with pytest.raises(ValueError, match="log_level"):
+            s.replace(log_level="loud")
 
 
 class TestDeprecationWarning:
@@ -70,13 +56,8 @@ class TestDeprecationWarning:
 
 class TestEquivalence:
     def test_simulator_properties_delegate_to_settings(self, tiny_arch):
-        sim = EnduranceSimulator(
-            tiny_arch,
-            SimulationSettings(seed=5, kernel="epoch", chunk_size=None),
-        )
+        sim = EnduranceSimulator(tiny_arch, SimulationSettings(seed=5))
         assert sim.seed == 5
-        assert sim.kernel == "epoch"
-        assert sim.chunk_size is None
 
     def test_run_settings_override_simulator_settings(self, tiny_arch):
         workload = ParallelMultiplication(bits=8)
@@ -124,13 +105,10 @@ class TestHashStability:
         legacy = JobSpec(
             workload=workload, architecture=tiny_arch, config=config,
             iterations=500, seed=9, track_reads=True,
-            kernel="epoch", chunk_size=64,
         )
         modern = JobSpec.from_settings(
             workload, tiny_arch, config=config, iterations=500,
-            settings=SimulationSettings(
-                seed=9, track_reads=True, kernel="epoch", chunk_size=64
-            ),
+            settings=SimulationSettings(seed=9, track_reads=True),
         )
         assert legacy.content_hash == modern.content_hash
 
@@ -147,23 +125,10 @@ class TestHashStability:
         )
         assert quiet.content_hash == loud.content_hash
 
-    def test_evaluator_never_reaches_the_hash(self, tiny_arch):
-        # Like kernel/chunk_size, the evaluator is a pure speed knob:
-        # results are bit-identical, so caches must not split on it.
-        workload = ParallelMultiplication(bits=8)
-        compiled = JobSpec.from_settings(
-            workload, tiny_arch, settings=SimulationSettings(seed=1)
-        )
-        interpreted = JobSpec.from_settings(
-            workload, tiny_arch,
-            settings=SimulationSettings(seed=1, evaluator="interpreted"),
-        )
-        assert compiled.content_hash == interpreted.content_hash
-
     def test_spec_settings_round_trip(self, tiny_arch):
         spec = JobSpec.from_settings(
             ParallelMultiplication(bits=8), tiny_arch,
-            settings=SimulationSettings(seed=2, kernel="epoch"),
+            settings=SimulationSettings(seed=2, fastforward=True),
         )
         assert spec.settings.seed == 2
-        assert spec.settings.kernel == "epoch"
+        assert spec.settings.fastforward is True

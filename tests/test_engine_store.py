@@ -175,10 +175,12 @@ class TestManifestReadApi:
         import numpy as np
 
         from repro.engine.store import blas_implementation
+        from repro.verify.schemas import MANIFEST_KEYS
 
         store = ResultStore(tmp_path)
         store.save(spec, result)
         manifest = store.load_manifest(spec)
+        assert set(manifest) == MANIFEST_KEYS
         assert manifest["fastforward"] == spec.fastforward
         assert manifest["numpy_version"] == np.__version__
         assert manifest["blas"] == blas_implementation()

@@ -48,7 +48,7 @@ REPRO_ALL = {
 VERIFY_ALL = {
     "CODES", "Diagnostic", "FUNCTIONAL_CODES", "Location", "Severity",
     "VerificationError", "VerifyReport", "check_bounds", "check_checkpoint",
-    "check_config",
+    "check_config", "check_count_horizon",
     "check_dataflow", "check_draw_plan", "check_fastforward",
     "check_level_segments", "check_levels", "check_manifest",
     "check_permutation_rows", "check_profile_conservation",

@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from repro.balance.config import BalanceConfig
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.telemetry import (
     CaptureSink,
@@ -340,3 +341,22 @@ class TestSimulatorInstrumentation:
             assert fresh.counters["kernel.gemms"] >= 1
         finally:
             set_telemetry(previous)
+
+    @pytest.mark.parametrize(
+        "fastforward, path", [(False, "batched"), (True, "fastforward")]
+    )
+    def test_kernel_fields_name_the_path_that_ran(
+        self, tiny_arch, fastforward, path
+    ):
+        sim = EnduranceSimulator(tiny_arch)
+        with capture() as sink:
+            sim.run(
+                ParallelMultiplication(bits=8),
+                BalanceConfig.from_label("BsxBs"),
+                iterations=100,
+                settings=SimulationSettings(fastforward=fastforward),
+            )
+        (event,) = sink.of("simulation")
+        assert event["kernel"] == path
+        (phase,) = [p for p in sink.of("phase") if p["name"] == "kernel"]
+        assert phase["kernel"] == path

@@ -30,6 +30,7 @@ from repro.verify import (
     check_bounds,
     check_checkpoint,
     check_config,
+    check_count_horizon,
     check_dataflow,
     check_draw_plan,
     check_level_segments,
@@ -413,6 +414,10 @@ class TestRegistryAppendOnly:
         ),
         ("RPR017", "versioned artifact schema violation"),
         ("RPR018", "repo invariant violated (self-lint)"),
+        (
+            "RPR019",
+            "fast-forward horizon exceeds float64's exact integer range",
+        ),
     )
 
     def test_registry_matches_baseline_exactly(self):
@@ -436,6 +441,53 @@ class TestRegistryAppendOnly:
             text = path.read_text(encoding="utf-8")
             for code in retired:
                 assert code not in text, f"{path} mentions {code}"
+
+
+class TestRPR019CountHorizon:
+    """One iteration either side of the 2**53 exact-count boundary."""
+
+    @staticmethod
+    def _rate(mapping, hardware, track_reads=True):
+        """A cell's largest count per iteration, derived independently."""
+        presets = mapping.architecture.presets_output
+        rates = []
+        for program in mapping.assignment.values():
+            counts = [program.write_counts(include_presets=presets)]
+            if track_reads:
+                counts.append(program.read_counts())
+            rates += [int(c.sum() if hardware else c.max()) for c in counts]
+        return max(rates)
+
+    @pytest.mark.parametrize("label", ["StxSt", "BsxBs", "BsxB1+Hw"])
+    def test_boundary(self, tiny_arch, label):
+        config = BalanceConfig.from_label(label)
+        mapping = VectorAdd(bits=8).build(tiny_arch)
+        rate = self._rate(mapping, config.hardware)
+        last = (2**53 - 1) // rate
+        assert check_count_horizon(mapping, config, last) == []
+        (d,) = check_count_horizon(mapping, config, last + 1)
+        assert d.code == "RPR019"
+        assert d.severity is Severity.ERROR
+        assert d.location.place == f"config {label}"
+        assert f"at most {last} iterations" in d.hint
+
+    def test_hardware_bound_is_the_lane_total(self, tiny_arch):
+        mapping = VectorAdd(bits=8).build(tiny_arch)
+        plain = self._rate(mapping, hardware=False)
+        renamed = self._rate(mapping, hardware=True)
+        assert renamed > plain
+        config = BalanceConfig.from_label("BsxBs+Hw")
+        last = (2**53 - 1) // renamed
+        assert check_count_horizon(mapping, config, last) == []
+        assert check_count_horizon(mapping, config, last + 1)
+
+    def test_untracked_reads_count_writes_only(self, tiny_arch):
+        mapping = VectorAdd(bits=8).build(tiny_arch)
+        config = BalanceConfig.from_label("StxSt")
+        rate = self._rate(mapping, False, track_reads=False)
+        last = (2**53 - 1) // rate
+        assert check_count_horizon(mapping, config, last, False) == []
+        assert check_count_horizon(mapping, config, last + 1, False)
 
 
 class TestRPR014WindowBound:
