@@ -7,16 +7,16 @@ ways:
 
 1. cold — empty result store, full calibration plus the whole day loop
    (a checkpoint is written late in the campaign for pass 3);
-2. warm — same store, so both cohort calibrations come back cached;
+2. warm — same store, so both cohort calibrations and the per-array
+   death thresholds come back cached;
 3. resumed — a fresh service picks up the late checkpoint and simulates
    only the remaining days on the warm store.
 
 All three must produce bit-identical fleet reports — that is the
 resume-determinism claim at benchmark scale — and the resumed pass must
-beat the cold pass by at least 1.3x (it skips calibration *and* most
-of the day loop; recomputing the per-array closed-form thresholds is a
-fixed cost every pass, which bounds the ratio well below the skipped
-fraction). Beyond the plain-text artifact the benchmark writes a
+beat the cold pass by at least 1.3x (it skips calibration, the
+threshold draws *and* most of the day loop). Beyond the plain-text
+artifact the benchmark writes a
 machine-readable ``BENCH_E33.json`` (fleet shape, simulated
 array-days/second, warm and resumed speedups) so downstream tooling can
 track fleet-layer throughput over time.

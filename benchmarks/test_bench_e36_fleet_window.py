@@ -13,9 +13,10 @@ stepper (``window=3650``). Two claims, measured separately:
 
 2. **Timing.** For both settings the benchmark records the
    ``fleet.advance`` phase (the day loop itself) and the wall time of a
-   whole warm-store run (thresholds, day loop and report; calibration
-   comes back cached). The two settings alternate over ``REPEATS`` runs
-   and the medians are recorded. The headline ``speedup`` is the ratio
+   whole warm-store run (day loop and report; the cohort calibrations
+   and the death thresholds come back from the store, so the wall no
+   longer includes drawing the thresholds). The two settings alternate
+   over ``REPEATS`` runs and the medians are recorded. The headline ``speedup`` is the ratio
    of the two ``fleet.advance`` medians, so numerator and denominator
    share the spec; nothing about timing is asserted.
 """

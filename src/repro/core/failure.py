@@ -32,16 +32,36 @@ from repro.core.simulator import SimulationResult
 from repro.devices.endurance import EnduranceModel, UniformEndurance
 
 
+def active_cells(rate_matrix: np.ndarray) -> np.ndarray:
+    """Mask of the cells a wear pattern ever writes.
+
+    Raises:
+        ValueError: if any rate is negative.
+    """
+    rates = np.asarray(rate_matrix, dtype=float)
+    if np.any(rates < 0):
+        raise ValueError("write rates cannot be negative")
+    return rates > 0
+
+
 def cell_failure_times(
-    rate_matrix: np.ndarray, budgets: np.ndarray
+    rate_matrix: np.ndarray,
+    budgets: np.ndarray,
+    *,
+    active: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Per-cell failure time, in iterations, under a fixed wear rate.
 
-    Cells that receive no writes never fail (``inf``).
+    Cells that receive no writes never fail (``inf``), whatever their
+    budget.
 
     Args:
         rate_matrix: Per-cell writes per iteration.
         budgets: Per-cell endurance budgets (same shape).
+        active: :func:`active_cells` of ``rate_matrix``, for callers
+            that draw many budgets over one rate matrix.
+        out: Float64 buffer of the same shape to write the times into.
     """
     rates = np.asarray(rate_matrix, dtype=float)
     budgets = np.asarray(budgets, dtype=float)
@@ -49,12 +69,13 @@ def cell_failure_times(
         raise ValueError(
             f"rates shape {rates.shape} != budgets shape {budgets.shape}"
         )
-    if np.any(rates < 0):
-        raise ValueError("write rates cannot be negative")
-    times = np.full(rates.shape, np.inf)
-    active = rates > 0
-    times[active] = budgets[active] / rates[active]
-    return times
+    if active is None:
+        active = active_cells(rates)
+    if out is None:
+        out = np.empty(rates.shape)
+    out.fill(np.inf)
+    np.divide(budgets, rates, out=out, where=active)
+    return out
 
 
 def offset_death_times(

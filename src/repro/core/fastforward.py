@@ -49,7 +49,7 @@ from repro.array.state import ArrayState
 from repro.balance.config import BalanceConfig
 from repro.balance.hardware import HardwareRemapper
 from repro.balance.software import StrategyKind
-from repro.core.kernel import make_epoch_maps
+from repro.core.kernel import epoch_schedule, make_epoch_maps
 from repro.core.scratch import SCRATCH_POOL
 from repro.synth.program import LaneProgram
 from repro.telemetry import get_telemetry
@@ -149,15 +149,8 @@ def run_fastforward_epochs(
         )
     if config.hardware and remappers is None:
         raise ValueError("hardware re-mapping requires remappers")
-    if iterations <= 0:
-        raise ValueError("iterations must be positive")
-
-    if config.needs_recompilation:
-        interval = config.recompile_interval
-        full_epochs, remainder = divmod(iterations, interval)
-    else:
-        # St x St (+Hw): a single continuous epoch; period 1 by definition.
-        interval, full_epochs, remainder = iterations, 1, 0
+    # St x St (+Hw) is a single continuous epoch; period 1 by definition.
+    interval, full_epochs, remainder = epoch_schedule(config, iterations)
 
     total_epochs = full_epochs + (1 if remainder else 0)
     period = fastforward_period(config, lane_size, lane_count)

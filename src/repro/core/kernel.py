@@ -64,19 +64,28 @@ from repro.telemetry import get_telemetry
 DEFAULT_CHUNK_SIZE = 1024
 
 
-def epoch_lengths(config: BalanceConfig, iterations: int) -> np.ndarray:
-    """Per-epoch iteration counts covering a run, as an int64 vector.
+def epoch_schedule(
+    config: BalanceConfig, iterations: int
+) -> Tuple[int, int, int]:
+    """The epochs covering a run, as ``(interval, full_epochs, remainder)``.
 
     Configurations without software re-mapping never recompile and run as
-    one continuous epoch; otherwise ``iterations`` splits into full
-    ``recompile_interval`` epochs plus an optional remainder.
+    one continuous epoch; otherwise ``iterations`` splits into
+    ``full_epochs`` epochs of ``recompile_interval`` iterations plus, when
+    ``remainder`` is non-zero, one last epoch of ``remainder``.
     """
     if iterations <= 0:
         raise ValueError("iterations must be positive")
     if not config.needs_recompilation:
-        return np.array([iterations], dtype=np.int64)
+        return iterations, 1, 0
     interval = config.recompile_interval
     full, remainder = divmod(iterations, interval)
+    return interval, full, remainder
+
+
+def epoch_lengths(config: BalanceConfig, iterations: int) -> np.ndarray:
+    """Per-epoch iteration counts covering a run, as an int64 vector."""
+    interval, full, remainder = epoch_schedule(config, iterations)
     lengths = np.full(full + (1 if remainder else 0), interval, dtype=np.int64)
     if remainder:
         lengths[-1] = remainder
@@ -216,15 +225,20 @@ def run_batched_epochs(
         else None
     )
 
+    # The epoch_lengths() schedule, chunk by chunk: memory is O(chunk),
+    # not one int64 per epoch.
+    interval, full_epochs, remainder = epoch_schedule(config, iterations)
+    total_epochs = full_epochs + (1 if remainder else 0)
+
     tele = get_telemetry()
     gemms = 0
-    lengths = epoch_lengths(config, iterations)
-    total_epochs = int(lengths.size)
     start = 0
     while start < total_epochs:
         count = min(chunk, total_epochs - start)
         tele.count("kernel.chunks")
-        chunk_lengths = lengths[start : start + count]
+        chunk_lengths = np.full(count, interval, dtype=np.int64)
+        if start + count > full_epochs:
+            chunk_lengths[-1] = remainder
         within_maps, between_maps = make_epoch_maps(
             config.within,
             config.between,

@@ -21,6 +21,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.core.accuracy import EVALUATORS
 from repro.gates.gate import Gate
 from repro.synth.bits import BitVector
 from repro.synth.program import (
@@ -99,10 +100,9 @@ def measure_switching(
     """
     if samples < 1:
         raise ValueError("samples must be positive")
-    if evaluator not in ("compiled", "interpreted"):
+    if evaluator not in EVALUATORS:
         raise ValueError(
-            "evaluator must be one of ('compiled', 'interpreted'), "
-            f"got {evaluator!r}"
+            f"evaluator must be one of {EVALUATORS}, got {evaluator!r}"
         )
     generator = np.random.default_rng(rng)
     widths = {name: len(addrs) for name, addrs in program.inputs.items()}

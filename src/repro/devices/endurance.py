@@ -28,8 +28,28 @@ class EnduranceModel(ABC):
     """Maps accumulated per-cell write counts to cell failures."""
 
     @abstractmethod
-    def sample_budgets(self, shape: tuple) -> np.ndarray:
-        """Draw the per-cell write budget for an array of ``shape``."""
+    def sample_budgets(
+        self, shape: tuple, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Draw the per-cell write budget for an array of ``shape``.
+
+        Args:
+            shape: Array shape.
+            out: Float64 buffer of ``shape`` to draw into (and return)
+                instead of allocating one.
+        """
+
+    @staticmethod
+    def _budget_buffer(shape: tuple, out: Optional[np.ndarray]) -> np.ndarray:
+        """``out`` checked against ``shape``, or a fresh float64 buffer."""
+        if out is None:
+            return np.empty(shape)
+        if out.shape != np.broadcast_shapes(shape) or out.dtype != np.float64:
+            raise ValueError(
+                f"out must be float64 of shape {shape}, got "
+                f"{out.dtype} of shape {out.shape}"
+            )
+        return out
 
     def cells_failed(self, writes: np.ndarray, budgets: Optional[np.ndarray] = None) -> np.ndarray:
         """Boolean mask of cells whose accumulated writes exceed their budget.
@@ -86,8 +106,12 @@ class UniformEndurance(EnduranceModel):
             raise ValueError("endurance_writes must be positive")
         self.endurance_writes = float(endurance_writes)
 
-    def sample_budgets(self, shape: tuple) -> np.ndarray:
-        return np.full(shape, self.endurance_writes)
+    def sample_budgets(
+        self, shape: tuple, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        out = self._budget_buffer(shape, out)
+        out.fill(self.endurance_writes)
+        return out
 
     def iterations_to_first_failure(
         self,
@@ -132,10 +156,17 @@ class LognormalEndurance(EnduranceModel):
         self.sigma = float(sigma)
         self._rng = np.random.default_rng(rng)
 
-    def sample_budgets(self, shape: tuple) -> np.ndarray:
-        return self.median_writes * np.exp(
-            self._rng.normal(0.0, self.sigma, size=shape)
-        )
+    def sample_budgets(
+        self, shape: tuple, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        # median * exp(sigma * z), in place: the same bits as
+        # median * exp(rng.normal(0, sigma)), which draws 0 + sigma * z.
+        out = self._budget_buffer(shape, out)
+        self._rng.standard_normal(out=out)
+        out *= self.sigma
+        np.exp(out, out=out)
+        out *= self.median_writes
+        return out
 
     def __repr__(self) -> str:
         return (

@@ -6,6 +6,10 @@ compressed ``.npz`` (the counter arrays plus result metadata, via
 and timing. Entries are written atomically (temp file + rename, array
 payload before sidecar), so a store left behind by a killed run contains
 only complete entries — re-running the batch resumes from them.
+
+A store also keeps bare ``.npy`` arrays of derived data under
+caller-chosen content keys (:meth:`ResultStore.save_array`), written the
+same atomic way but with no sidecar.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import os
 import re
 import zipfile
 from pathlib import Path
-from typing import Iterator, Optional, Tuple, Union
+from typing import Callable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -92,6 +96,10 @@ class ResultStore:
         digest = self._hash_of(key)
         return self.root / digest[:2] / f"{digest}.manifest.json"
 
+    def array_path_for(self, key: str) -> Path:
+        """Where the bare array saved under ``key`` lives."""
+        return self.root / key[:2] / f"{key}.npy"
+
     # -- operations -----------------------------------------------------
 
     def contains(self, key: Union[JobSpec, str]) -> bool:
@@ -120,14 +128,10 @@ class ResultStore:
     ) -> Path:
         """Atomically persist ``result`` under ``spec``'s hash."""
         path = self.path_for(spec)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / f".{path.stem}.{os.getpid()}.tmp.npz"
-        try:
-            save_result(result, str(tmp), compress=self.compress)
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
+        _replace_atomically(
+            path,
+            lambda tmp: save_result(result, str(tmp), compress=self.compress),
+        )
         sidecar = self.sidecar_for(spec)
         record = {
             "spec": spec.identity(),
@@ -140,6 +144,35 @@ class ResultStore:
         )
         os.replace(tmp_sidecar, sidecar)
         self._write_manifest(spec, wall_s)
+        return path
+
+    def load_array(self, key: str) -> Optional[np.ndarray]:
+        """The array saved under ``key``, or ``None`` on a miss.
+
+        Unreadable entries count as misses, as in :meth:`load`; checking
+        the shape and dtype is the caller's part.
+        """
+        try:
+            array = np.load(self.array_path_for(key), allow_pickle=False)
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile):
+            return None
+        if not isinstance(array, np.ndarray):  # an .npz archive
+            array.close()
+            return None
+        return array
+
+    def save_array(self, key: str, array: np.ndarray) -> Path:
+        """Atomically persist a bare array under a caller-chosen ``key``.
+
+        Array entries carry no sidecar and no manifest: they are derived
+        data, not simulation results, so :meth:`hashes`, ``len`` and
+        :meth:`iter_manifests` do not list them. :meth:`clear` removes
+        them.
+        """
+        path = self.array_path_for(key)
+        _replace_atomically(
+            path, lambda tmp: np.save(tmp, array, allow_pickle=False)
+        )
         return path
 
     def _write_manifest(self, spec: JobSpec, wall_s: Optional[float]) -> None:
@@ -236,4 +269,23 @@ class ResultStore:
             self.sidecar_for(digest).unlink(missing_ok=True)
             self.manifest_for(digest).unlink(missing_ok=True)
             removed += 1
+        for path in self.root.glob("*/*.npy"):
+            path.unlink(missing_ok=True)
+            removed += 1
         return removed
+
+
+def _replace_atomically(path: Path, write: Callable[[Path], None]) -> None:
+    """Write ``path`` through a temp file and ``os.replace``.
+
+    ``write`` fills the temp path, which keeps ``path``'s suffix; readers
+    see the old entry or the new one, never a partial file.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.parent / f".{path.stem}.{os.getpid()}.tmp{path.suffix}"
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        if tmp.exists():
+            tmp.unlink()

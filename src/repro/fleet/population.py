@@ -26,12 +26,16 @@ independent of visitation order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.balance.config import BalanceConfig
-from repro.core.failure import cell_failure_times, offset_death_times
+from repro.core.failure import (
+    active_cells,
+    cell_failure_times,
+    offset_death_times,
+)
 from repro.devices.endurance import (
     EnduranceModel,
     LognormalEndurance,
@@ -58,6 +62,12 @@ WORKLOAD_FACTORIES = workload_factories
 #: never perturb the arrival process and vice versa.
 BUDGET_STREAM = 0xB0D6
 TRAFFIC_STREAM = 0x7AFF
+
+#: Version of the death-threshold arithmetic. It is part of the key under
+#: which a fleet persists its thresholds, so bump it whenever a change to
+#: :meth:`Population.death_thresholds` could change a single bit of its
+#: output: stored vectors from the old arithmetic then stop matching.
+THRESHOLDS_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -218,6 +228,10 @@ class Population:
     cohort_index: np.ndarray = field(repr=False)
     technology_index: np.ndarray = field(repr=False)
     technologies: Tuple[Technology, ...]
+    #: Per-cohort member indices and the normalized cohort weights,
+    #: derived once here because the fleet day loop reads them daily.
+    cohort_members: Tuple[np.ndarray, ...] = field(repr=False, compare=False)
+    cohort_weights: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
     def build(cls, spec: PopulationSpec) -> "Population":
@@ -241,11 +255,17 @@ class Population:
         technologies = tuple(
             technology_by_name(name) for name, _ in spec.technology_mix
         )
+        cohort_members = tuple(
+            _read_only(np.flatnonzero(cohort_index == cohort))
+            for cohort in range(len(spec.cohorts))
+        )
         return cls(
             spec=spec,
             cohort_index=cohort_index,
             technology_index=technology_index,
             technologies=technologies,
+            cohort_members=cohort_members,
+            cohort_weights=_read_only(spec.cohort_weights),
         )
 
     @property
@@ -255,7 +275,7 @@ class Population:
 
     def arrays_in_cohort(self, cohort: int) -> np.ndarray:
         """Indices of the arrays belonging to cohort ``cohort``."""
-        return np.flatnonzero(self.cohort_index == cohort)
+        return self.cohort_members[cohort]
 
     def technology_of(self, array: int) -> Technology:
         """The technology preset of array ``array``."""
@@ -311,25 +331,47 @@ class Population:
             or any(offsets is None for offsets in required_offsets)
         ):
             raise ValueError("repacking requires per-cohort required_offsets")
-        rates: Dict[int, np.ndarray] = {}
         thresholds = np.empty(self.n_arrays, dtype=float)
-        for array in range(self.n_arrays):
-            cohort = int(self.cohort_index[array])
-            rate = rates.get(cohort)
-            if rate is None:
-                result = cohort_results[cohort]
-                rate = result.state.write_counts / result.iterations
-                rates[cohort] = rate
-            model = self.endurance_model_for(array, seed)
-            budgets = model.sample_budgets(rate.shape)
-            times = cell_failure_times(rate, budgets)
-            if not self.spec.repacking:
-                thresholds[array] = float(times.min())
+        for cohort, result in enumerate(cohort_results):
+            members = self.arrays_in_cohort(cohort)
+            if len(members) == 0:
                 continue
-            result = cohort_results[cohort]
-            architecture = result.architecture
-            deaths = offset_death_times(times, architecture.orientation)
-            required = int(required_offsets[cohort])
-            k = architecture.lane_size - required + 1
-            thresholds[array] = float(np.sort(deaths)[k - 1])
+            # Once per cohort, not per array: the rate matrix, its active
+            # mask (which checks the rates) and the buffers.
+            rate = result.state.write_counts / result.iterations
+            active = active_cells(rate)
+            orientation = result.architecture.orientation
+            rank = None
+            if self.spec.repacking:
+                rank = (
+                    result.architecture.lane_size
+                    - int(required_offsets[cohort])
+                )
+            budgets = np.empty(rate.shape)
+            times = np.empty(rate.shape)
+            for array in members:
+                model = self.endurance_model_for(int(array), seed)
+                model.sample_budgets(rate.shape, out=budgets)
+                cell_failure_times(rate, budgets, active=active, out=times)
+                thresholds[array] = _death_time(times, rank, orientation)
         return thresholds
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, locked against writes (it is shared, not copied)."""
+    array.flags.writeable = False
+    return array
+
+
+def _death_time(
+    times: np.ndarray, rank: Optional[int], orientation
+) -> float:
+    """An array's death from its per-cell failure times.
+
+    The first cell failure when ``rank`` is ``None``; otherwise the
+    repacking horizon, the ``rank``-th (0-based) offset death.
+    """
+    if rank is None:
+        return float(times.min())
+    deaths = offset_death_times(times, orientation)
+    return float(np.partition(deaths, rank)[rank])

@@ -17,7 +17,8 @@ runs in three phases:
    :class:`~repro.fleet.report.FleetReport`.
 
 Nothing in the day loop re-simulates wear: thresholds come from
-:meth:`Population.death_thresholds`, which reuses the exact
+:meth:`Population.death_thresholds` (persisted in the result store when
+there is one), which reuses the exact
 :mod:`repro.core.failure` closed forms — that is what makes a 10,000
 array × 10 year campaign tractable *and* what pins the degenerate
 one-array case bit-exact to :func:`~repro.core.failure.failure_timeline`.
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,7 +45,11 @@ from repro.engine.runner import ExperimentEngine, require_ok
 from repro.engine.spec import JobSpec
 from repro.engine.store import ResultStore
 from repro.fleet.checkpoint import CheckpointManager
-from repro.fleet.population import Population, PopulationSpec
+from repro.fleet.population import (
+    THRESHOLDS_VERSION,
+    Population,
+    PopulationSpec,
+)
 from repro.fleet.report import FleetReport
 from repro.fleet.survival import (
     annual_replacement_rate,
@@ -261,10 +266,11 @@ class FleetService:
 
     Args:
         spec: The campaign.
-        store: Optional result store for cohort calibrations; shared
-            across campaigns, sharded per cohort key
-            (:meth:`ResultStore.shard`), so repeated campaigns over the
-            same cohorts calibrate from cache.
+        store: Optional result store for cohort calibrations and death
+            thresholds; shared across campaigns, sharded per cohort key
+            (:meth:`ResultStore.shard`) plus one ``fleet-thresholds``
+            shard, so repeated campaigns over the same cohorts calibrate
+            from cache and reload their thresholds.
         checkpoint_dir: Where to keep campaign checkpoints; ``None``
             disables checkpointing (and resuming).
         checkpoint_every: Write a checkpoint after every N completed
@@ -316,15 +322,17 @@ class FleetService:
         """Simulate every cohort's wear profile (store-cached).
 
         Returns a dict with ``results`` (per-cohort simulation results),
+        ``job_hashes`` (the calibration jobs' content hashes),
         ``required_offsets`` (per-cohort minimum footprints, only
         computed when the population repacks), ``ops_per_iteration``
         (per-cohort write operations per iteration — the Bitlet-style
         cost that converts requests into array-seconds), and engine
         ``statuses`` per cohort for the runtime section.
         """
+        jobs = self.cohort_specs()
         results = []
         statuses = []
-        for cohort, spec in zip(self.spec.population.cohorts, self.cohort_specs()):
+        for cohort, spec in zip(self.spec.population.cohorts, jobs):
             # Explicit None check: ResultStore defines __len__, so an
             # empty store is falsy and a bare truthiness test would
             # silently disable caching on first use.
@@ -340,8 +348,8 @@ class FleetService:
         required_offsets: List[Optional[int]] = [None] * len(results)
         if self.spec.population.repacking:
             required_offsets = [
-                minimum_footprint(cohort.build_workload(), self.architecture)
-                for cohort in self.spec.population.cohorts
+                minimum_footprint(job.workload, self.architecture)
+                for job in jobs
             ]
         ops_per_iteration = [
             float(result.state.write_counts.sum()) / result.iterations
@@ -349,10 +357,68 @@ class FleetService:
         ]
         return {
             "results": results,
+            "job_hashes": [job.content_hash for job in jobs],
             "required_offsets": required_offsets,
             "ops_per_iteration": ops_per_iteration,
             "statuses": statuses,
         }
+
+    # -- phase 1b: death thresholds -------------------------------------
+
+    def _thresholds(self, calibration: Dict) -> Tuple[np.ndarray, str]:
+        """Per-array death thresholds, and ``"cached"`` or ``"computed"``.
+
+        With a store, the ``float64`` vector is a bare array entry
+        (:meth:`ResultStore.save_array`) of its ``fleet-thresholds``
+        shard, with no sidecar or manifest, so store listings are
+        unchanged. The key covers everything
+        :meth:`Population.death_thresholds` reads: the population, the
+        budget seed, each technology's endurance, the cohort calibrations
+        (by job content hash) and the repacking footprints. It also
+        covers the numpy version, because Generator streams may change
+        between numpy releases (NEP 19), and
+        :data:`~repro.fleet.population.THRESHOLDS_VERSION`. Traffic,
+        dispatch, horizon, window, SLO and duty cycle move no threshold
+        and stay out. A missing, unreadable or misshapen entry is
+        recomputed and atomically overwritten. Without a store the
+        thresholds are always computed.
+        """
+        tele = get_telemetry()
+        with tele.timed_phase("fleet.thresholds"):
+            shard = key = None
+            if self.store is not None:
+                key = canonical_hash(
+                    {
+                        "thresholds_version": THRESHOLDS_VERSION,
+                        "numpy": np.__version__,
+                        "population": self.spec.population.identity(),
+                        "seed": self.spec.seed,
+                        "technologies": [
+                            [t.name, t.endurance_writes]
+                            for t in self.population.technologies
+                        ],
+                        "cohort_jobs": calibration["job_hashes"],
+                        "required_offsets": calibration["required_offsets"],
+                    }
+                )
+                shard = self.store.shard("fleet-thresholds")
+                thresholds = shard.load_array(key)
+                if (
+                    thresholds is not None
+                    and thresholds.dtype == np.float64
+                    and thresholds.shape == (self.population.n_arrays,)
+                ):
+                    tele.count("fleet.thresholds_hits")
+                    return thresholds, "cached"
+                tele.count("fleet.thresholds_misses")
+            thresholds = self.population.death_thresholds(
+                calibration["results"],
+                self.spec.seed,
+                calibration["required_offsets"],
+            )
+            if shard is not None:
+                shard.save_array(key, thresholds)
+            return thresholds, "computed"
 
     def _capacities(self, ops_per_iteration: Sequence[float]) -> np.ndarray:
         """Per-array iteration capacity per virtual day.
@@ -427,7 +493,7 @@ class FleetService:
         day_served = 0
         requests = draw_day(spec.traffic, state.traffic_state, state.rng)
         per_cohort = split_requests(
-            requests, spec.population.cohort_weights, state.rng
+            requests, self.population.cohort_weights, state.rng
         )
         for index, cohort in enumerate(spec.population.cohorts):
             cohort_requests = int(per_cohort[index])
@@ -476,7 +542,7 @@ class FleetService:
         """
         spec = self.spec
         cohorts = spec.population.cohorts
-        weights = spec.population.cohort_weights
+        weights = self.population.cohort_weights
         # The batching decision is the declared, statically-checkable
         # plan of repro.fleet.traffic.window_draw_plan — the same
         # procedure repro.verify.check_draw_plan (RPR016) re-proves
@@ -616,11 +682,7 @@ class FleetService:
 
         with tele.timed_phase("fleet.calibrate"):
             calibration = self.calibrate()
-        thresholds = self.population.death_thresholds(
-            calibration["results"],
-            spec.seed,
-            calibration["required_offsets"],
-        )
+        thresholds, thresholds_source = self._thresholds(calibration)
         capacities = self._capacities(calibration["ops_per_iteration"])
 
         state = None
@@ -722,13 +784,14 @@ class FleetService:
         if stop_after_day is not None and state.day < spec.days:
             return None
 
-        report = self._build_report(state, calibration, capacities)
+        report = self._build_report(state, capacities)
         runtime = dict(report.runtime)
         runtime.update(
             wall_s=round(time.perf_counter() - start_wall, 6),
             resumed_from_day=resumed_from,
             checkpoints_written=checkpoints_written,
             calibration_statuses=calibration["statuses"],
+            thresholds=thresholds_source,
             windows=windows,
             window_days=window_days,
         )
@@ -747,15 +810,14 @@ class FleetService:
 
     # -- phase 3: the report --------------------------------------------
 
-    def _demand_arrays(self, ops_per_iteration: Sequence[float]) -> int:
+    def _demand_arrays(self, capacities: np.ndarray) -> int:
         """Mean-traffic demand, in concurrently-live arrays.
 
         Converts the long-run mean request rate into array-equivalents
         through each cohort's per-iteration cost and its members' mean
         capacity — the Bitlet litmus inverted for provisioning.
         """
-        capacities = self._capacities(ops_per_iteration)
-        weights = self.spec.population.cohort_weights
+        weights = self.population.cohort_weights
         demand = 0.0
         for index, cohort in enumerate(self.spec.population.cohorts):
             members = self.population.arrays_in_cohort(index)
@@ -773,14 +835,13 @@ class FleetService:
     def _build_report(
         self,
         state: _CampaignState,
-        calibration: Dict,
         capacities: np.ndarray,
     ) -> FleetReport:
         spec = self.spec
         curve = kaplan_meier(state.death_day.tolist(), spec.days)
         headroom = capacity_headroom(
             self.population.n_arrays,
-            self._demand_arrays(calibration["ops_per_iteration"]),
+            self._demand_arrays(capacities),
             curve.probability_at(spec.days),
             spec.slo,
         )

@@ -69,6 +69,8 @@ KNOWN_COUNTERS: frozenset = frozenset(
         "fleet.days",
         "fleet.deaths",
         "fleet.rejected",
+        "fleet.thresholds_hits",
+        "fleet.thresholds_misses",
         "fleet.window_days",
         "fleet.windows",
         "kernel.chunk_size",

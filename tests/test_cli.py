@@ -411,6 +411,26 @@ class TestTelemetryFlags:
         assert "cache: 1 hit(s), 0 miss(es)" in out
         assert "cached" in out
 
+    def test_traced_warm_fleet_reports_threshold_cache_hit(
+        self, capsys, tmp_path
+    ):
+        from repro.telemetry import get_telemetry
+
+        trace = tmp_path / "warm.jsonl"
+        argv = FLEET_ARGS + [
+            "--cache-dir", str(tmp_path / "cache"), "--trace", str(trace),
+        ]
+        assert main(argv) == 0
+        counters = get_telemetry().counters
+        hits = counters.get("fleet.thresholds_hits", 0)
+        misses = counters.get("fleet.thresholds_misses", 0)
+        assert main(argv) == 0  # warm: trace rewritten with a cache hit
+        capsys.readouterr()
+        assert main(["stats", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert f"  {'fleet.thresholds_hits':<28} {hits + 1}" in out
+        assert f"  {'fleet.thresholds_misses':<28} {misses}" in out
+
     def test_progress_flag_renders_lines_on_stderr(self, capsys):
         main([
             "--rows", "256", "--cols", "64",

@@ -6,6 +6,7 @@ import pytest
 from repro.array.geometry import Orientation
 from repro.balance.config import BalanceConfig
 from repro.core.failure import (
+    active_cells,
     cell_failure_times,
     failure_timeline,
     minimum_footprint,
@@ -34,6 +35,21 @@ class TestCellFailureTimes:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             cell_failure_times(np.array([[-1.0]]), np.array([[1.0]]))
+        with pytest.raises(ValueError, match="negative"):
+            active_cells(np.array([[-1.0]]))
+
+    def test_reused_mask_and_buffer_match_fresh_call(self):
+        # Many budget draws over one rate matrix share its mask and one
+        # output buffer; idle cells stay inf even with a zero budget.
+        rates = np.array([[1.0, 2.0], [0.0, 4.0]])
+        active = active_cells(rates)
+        out = np.zeros((2, 2))
+        draws = (np.full((2, 2), 8.0), np.array([[3.0, 0.0], [0.0, 1.0]]))
+        for budgets in draws:
+            times = cell_failure_times(rates, budgets, active=active, out=out)
+            assert times is out
+            assert np.array_equal(times, cell_failure_times(rates, budgets))
+            assert np.isinf(times[1, 0])
 
 
 class TestOffsetDeathTimes:

@@ -12,6 +12,7 @@ size.
 """
 
 import functools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.kernel
 import repro.core.simulator
 from repro.array.architecture import CRAM_ROW, PINATUBO, default_architecture
 from repro.balance.config import BalanceConfig, all_configurations
@@ -29,11 +31,13 @@ from repro.balance.software import (
 )
 from repro.core.kernel import (
     epoch_lengths,
+    epoch_schedule,
     make_epoch_maps,
     run_batched_epochs,
     run_epoch_loop,
 )
 from repro.core.settings import SimulationSettings
+from repro.array.state import ArrayState
 from repro.core.simulator import EnduranceSimulator
 from repro.verify import VerificationError
 from repro.workloads.dotproduct import DotProduct
@@ -259,6 +263,64 @@ class TestEpochLengths:
     def test_non_positive_iterations_rejected(self):
         with pytest.raises(ValueError):
             epoch_lengths(BalanceConfig(), 0)
+        with pytest.raises(ValueError):
+            epoch_schedule(BalanceConfig(), -1)
+
+    def test_schedule_is_the_lengths_in_closed_form(self):
+        config = BalanceConfig.from_label("RaxRa", recompile_interval=100)
+        assert epoch_schedule(config, 250) == (100, 2, 50)
+        assert epoch_schedule(config, 60) == (100, 0, 60)
+        assert epoch_lengths(config, 60).tolist() == [60]
+        assert epoch_schedule(BalanceConfig(), 1000) == (1000, 1, 0)
+
+
+class TestEpochScheduleMemory:
+    def test_batched_schedule_is_o_chunk(self):
+        # One int64 per epoch would be 80 MB at 10**7 interval-1 epochs.
+        # The per-epoch work is mocked out: identity maps and no program
+        # groups, so only the kernel's own epoch bookkeeping runs.
+        chunks = []
+
+        def identity_maps(within, between, lane_size, lane_count, count,
+                          rng=None, epoch_start=0):
+            chunks.append(count)
+            return (
+                np.broadcast_to(np.arange(lane_size), (count, lane_size)),
+                np.broadcast_to(np.arange(lane_count), (count, lane_count)),
+            )
+
+        config = BalanceConfig.from_label("BsxBs").with_interval(1)
+        state = ArrayState(ARCH.geometry)
+        iterations = 10_000_000
+        with mock.patch.object(
+            repro.core.kernel, "make_epoch_maps", identity_maps
+        ):
+            tracemalloc.start()
+            try:
+                epochs = run_batched_epochs(
+                    ARCH, config, state, np.random.default_rng(0), {},
+                    iterations,
+                )
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert epochs == iterations
+        assert sum(chunks) == iterations
+
+    def test_chunk_lengths_follow_the_schedule(self):
+        # Interval 3 over 3 * 5 + 2 iterations in chunks of 4 epochs: a
+        # chunk of four full epochs, then one full and the remainder.
+        config = BalanceConfig.from_label("RaxRa", recompile_interval=3)
+        lengths = []
+
+        def record(self, profiles, weights, orientation, kind="write"):
+            lengths.append(tuple(weights.max(axis=1).tolist()))
+
+        with mock.patch.object(ArrayState, "add_lane_profiles", record):
+            _run(ARCH, config, kernel=_chunked(4), iterations=17,
+                 track_reads=False)
+        assert list(dict.fromkeys(lengths)) == [(3, 3, 3, 3), (3, 2)]
 
 
 class TestKernelKnob:

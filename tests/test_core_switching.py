@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.accuracy import EVALUATORS
 from repro.core.switching import measure_switching
 from repro.gates.library import MINIMAL_LIBRARY
 from repro.gates.ops import GateOp
@@ -84,6 +85,13 @@ class TestMultiplierSwitching:
         with pytest.raises(ValueError):
             measure_switching(program, samples=0)
         with pytest.raises(ValueError, match="evaluator"):
+            measure_switching(program, samples=1, evaluator="magic")
+
+    def test_evaluator_names_are_the_accuracy_list(self):
+        program = _copy_chain_program()
+        for name in EVALUATORS:
+            assert measure_switching(program, samples=2, evaluator=name)
+        with pytest.raises(ValueError, match=str(EVALUATORS)[1:-1]):
             measure_switching(program, samples=1, evaluator="magic")
 
     def test_evaluators_produce_identical_profiles(self):

@@ -80,6 +80,29 @@ class TestLognormalEndurance:
         with pytest.raises(ValueError):
             model.cells_failed(np.zeros((2, 2)), budgets=np.zeros(3))
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 300.0])
+    def test_draw_into_buffer_matches_fresh_draw(self, sigma):
+        # In place is median * exp(sigma * z), the same bits as
+        # median * exp(normal(0, sigma)) on the same stream.
+        fresh = LognormalEndurance(1e6, sigma=sigma, rng=7)
+        buffer = np.zeros((3, 5))
+        with np.errstate(over="ignore"):
+            drawn = fresh.sample_budgets((3, 5), out=buffer)
+            expected = 1e6 * np.exp(
+                np.random.default_rng(7).normal(0.0, sigma, size=(3, 5))
+            )
+        assert drawn is buffer
+        assert np.array_equal(drawn, expected)
+
+    def test_buffer_must_fit(self):
+        for model in (UniformEndurance(5.0), LognormalEndurance(5.0, rng=0)):
+            with pytest.raises(ValueError):
+                model.sample_budgets((2, 2), out=np.empty(4))
+            with pytest.raises(ValueError):
+                model.sample_budgets((2, 2), out=np.empty((2, 2), np.float32))
+            out = np.empty(4)
+            assert model.sample_budgets(4, out=out) is out
+
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             LognormalEndurance(0)

@@ -148,9 +148,42 @@ class TestStoreSemantics:
         assert len(store) == 0
         assert store.load(spec) is None
 
+    def test_array_entries(self, tmp_path, spec, result):
+        # Bare arrays round-trip under their own key, stay out of the
+        # result listings and go with clear().
+        store = ResultStore(tmp_path)
+        store.save(spec, result)
+        assert store.load_array("ab12") is None
+        vector = np.array([1.5, np.inf, 0.0])
+        path = store.save_array("ab12", vector)
+        assert path == tmp_path / "ab" / "ab12.npy"
+        assert np.array_equal(store.load_array("ab12"), vector)
+        assert len(store) == 1
+        assert list(store.hashes()) == [spec.content_hash]
+        assert [h for h, _ in store.iter_manifests()] == [spec.content_hash]
+        assert store.clear() == 2
+        assert not path.exists()
+        assert store.load_array("ab12") is None
+
+    @pytest.mark.parametrize(
+        "damage", [b"", b"\x93NUMPY", b"garbage" * 9, b"PK\x03\x04"]
+    )
+    def test_unreadable_array_is_a_miss(self, tmp_path, damage):
+        store = ResultStore(tmp_path)
+        store.save_array("cd34", np.ones(3)).write_bytes(damage)
+        assert store.load_array("cd34") is None
+
+    def test_npz_under_array_key_is_a_miss(self, tmp_path):
+        store = ResultStore(tmp_path)
+        path = store.save_array("ef56", np.ones(3))
+        with open(path, "wb") as handle:
+            np.savez(handle, a=np.ones(3))
+        assert store.load_array("ef56") is None
+
     def test_no_temp_files_left_behind(self, tmp_path, spec, result):
         store = ResultStore(tmp_path)
         store.save(spec, result)
+        store.save_array("ab12", np.ones(3))
         leftovers = [
             p for p in tmp_path.rglob("*") if "tmp" in p.name
         ]

@@ -1,10 +1,16 @@
 """Population assembly and the closed-form death thresholds."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.balance.config import BalanceConfig
-from repro.core.failure import failure_timeline, minimum_footprint
+from repro.core.failure import (
+    failure_timeline,
+    minimum_footprint,
+    offset_death_times,
+)
 from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.devices.endurance import LognormalEndurance, UniformEndurance
@@ -25,6 +31,51 @@ def add_result():
     arch = arch_module.default_architecture(128, 128)
     sim = EnduranceSimulator(arch, SimulationSettings(seed=0))
     return sim.run(VectorAdd(bits=32), BalanceConfig(), 200)
+
+
+@pytest.fixture(scope="module")
+def add_bs_result():
+    arch_module = pytest.importorskip("repro.array.architecture")
+    arch = arch_module.default_architecture(128, 128)
+    sim = EnduranceSimulator(arch, SimulationSettings(seed=1))
+    return sim.run(
+        VectorAdd(bits=32), BalanceConfig.from_label("BsxBs"), 200
+    )
+
+
+def per_array_reference(population, results, seed, required_offsets):
+    """The one-array-at-a-time threshold arithmetic of failure_timeline.
+
+    Spelled out independently of the endurance models and of
+    cell_failure_times: budgets are ``median * exp(normal(0, sigma))`` on
+    each array's own stream, and idle cells never fail.
+    """
+    sigma = population.spec.endurance_sigma
+    thresholds = np.empty(population.n_arrays)
+    for array in range(population.n_arrays):
+        cohort = int(population.cohort_index[array])
+        result = results[cohort]
+        rate = result.state.write_counts / result.iterations
+        endurance = float(population.technology_of(array).endurance_writes)
+        if sigma == 0:
+            budgets = np.full(rate.shape, endurance)
+        else:
+            rng = np.random.default_rng([seed, BUDGET_STREAM, array])
+            budgets = endurance * np.exp(
+                rng.normal(0.0, sigma, size=rate.shape)
+            )
+        times = np.full(rate.shape, np.inf)
+        active = rate > 0
+        times[active] = budgets[active] / rate[active]
+        if not population.spec.repacking:
+            thresholds[array] = float(times.min())
+            continue
+        deaths = np.sort(
+            offset_death_times(times, result.architecture.orientation)
+        )
+        k = result.architecture.lane_size - required_offsets[cohort] + 1
+        thresholds[array] = float(deaths[k - 1])
+    return thresholds
 
 
 class TestApportionment:
@@ -134,6 +185,23 @@ class TestPopulationBuild:
             assert names.count("MRAM") == 2
             assert names.count("PCM") == 2
 
+    def test_cohort_members_built_once_and_locked(self):
+        spec = PopulationSpec(
+            n_arrays=8,
+            cohorts=(CohortSpec("add", weight=3.0), CohortSpec("conv")),
+        )
+        population = Population.build(spec)
+        for cohort in range(2):
+            members = population.arrays_in_cohort(cohort)
+            assert members is population.arrays_in_cohort(cohort)
+            assert np.array_equal(
+                members, np.flatnonzero(population.cohort_index == cohort)
+            )
+            with pytest.raises(ValueError):
+                members[0] = 0
+        assert np.array_equal(population.cohort_weights, spec.cohort_weights)
+        assert not population.cohort_weights.flags.writeable
+
     def test_uniform_model_when_sigma_zero(self):
         population = Population.build(PopulationSpec(n_arrays=2))
         model = population.endurance_model_for(0, seed=5)
@@ -208,6 +276,59 @@ class TestDeathThresholds:
             add_result, required_offsets=footprint, endurance_model=model
         )
         assert thresholds[0] == closed_form.unusable_iterations
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("repacking", [False, True])
+    @pytest.mark.parametrize("sigma", [0.0, 0.4, 300.0])
+    def test_mixed_fleet_matches_per_array_reference(
+        self, add_result, add_bs_result, sigma, repacking
+    ):
+        # sigma 0 is the uniform model; sigma 300 underflows some
+        # budgets to 0 and overflows others to inf.
+        population = Population.build(
+            PopulationSpec(
+                n_arrays=64,
+                technology_mix=(("MRAM", 1.0), ("PCM", 1.0), ("RRAM", 0.5)),
+                cohorts=(CohortSpec("add"), CohortSpec("add", "BsxBs")),
+                endurance_sigma=sigma,
+                repacking=repacking,
+            )
+        )
+        results = [add_result, add_bs_result]
+        footprint = minimum_footprint(
+            VectorAdd(bits=32), add_result.architecture
+        )
+        offsets = [footprint, footprint]
+        thresholds = population.death_thresholds(results, 5, offsets)
+        expected = per_array_reference(population, results, 5, offsets)
+        assert thresholds.dtype == np.float64
+        assert np.array_equal(thresholds, expected)
+        if sigma == 300.0:
+            assert (thresholds == 0).any()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_idle_cells_never_fail(self, add_result):
+        # Cells the cohort never writes stay +inf even when every
+        # budget underflows to 0.
+        population = Population.build(
+            PopulationSpec(
+                n_arrays=8,
+                cohorts=(CohortSpec("add"),),
+                endurance_sigma=300.0,
+            )
+        )
+        idle = copy.deepcopy(add_result)
+        idle.state.write_counts[:] = 0
+        assert np.isinf(population.death_thresholds([idle], seed=2)).all()
+        uniform = Population.build(PopulationSpec(n_arrays=2))
+        assert np.isinf(uniform.death_thresholds([idle], seed=2)).all()
+
+    def test_negative_rates_rejected(self, add_result):
+        population = Population.build(PopulationSpec(n_arrays=2))
+        bad = copy.deepcopy(add_result)
+        bad.state.write_counts[0, 0] = -1.0
+        with pytest.raises(ValueError, match="negative"):
+            population.death_thresholds([bad], seed=0)
 
     def test_repacking_requires_offsets(self, add_result):
         population = Population.build(

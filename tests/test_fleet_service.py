@@ -1,6 +1,8 @@
 """FleetService campaigns: the degenerate closed-form pin, checkpoint
 kill/resume determinism, store sharding, and dispatch policies."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.fleet import (
     CohortSpec,
     FleetService,
     FleetSpec,
+    Population,
     PopulationSpec,
     TrafficSpec,
     capacity_iterations,
@@ -213,6 +216,180 @@ class TestStoreIntegration:
     def test_run_campaign_accepts_store_path(self, tmp_path):
         report = run_campaign(one_array_spec(), store=str(tmp_path))
         assert report.runtime["manifests"] >= 1
+
+
+def threshold_entries(store):
+    """The persisted threshold vectors in ``store``."""
+    return sorted(store.shard("fleet-thresholds").root.glob("*/*.npy"))
+
+
+class TestThresholdCache:
+    """Death thresholds persist in the store, keyed by what they read."""
+
+    def test_warm_run_loads_thresholds(self, tmp_path):
+        spec = small_fleet_spec()
+        store = ResultStore(tmp_path)
+        cold = FleetService(spec, store=store).run()
+        assert cold.runtime["thresholds"] == "computed"
+        [entry] = threshold_entries(store)
+        assert entry.parent.name == entry.stem[:2]
+        with mock.patch.object(
+            Population, "death_thresholds", side_effect=AssertionError
+        ):
+            warm = FleetService(spec, store=store).run()
+        assert warm.runtime["thresholds"] == "cached"
+        assert warm.content_hash() == cold.content_hash()
+
+    def test_no_store_always_computes(self):
+        report = FleetService(small_fleet_spec()).run()
+        assert report.runtime["thresholds"] == "computed"
+
+    def test_entry_holds_the_computed_vector(self, tmp_path):
+        spec = small_fleet_spec()
+        store = ResultStore(tmp_path)
+        service = FleetService(spec, store=store)
+        service.run()
+        calibration = service.calibrate()
+        expected = service.population.death_thresholds(
+            calibration["results"], spec.seed,
+            calibration["required_offsets"],
+        )
+        [entry] = threshold_entries(store)
+        stored = np.load(entry)
+        assert stored.dtype == np.float64
+        assert np.array_equal(stored, expected)
+
+    def test_store_listings_unchanged(self, tmp_path):
+        # Two cohorts: two calibration manifests, no top-level entries,
+        # and the threshold vector adds neither a sidecar nor a manifest.
+        spec = small_fleet_spec(
+            population=PopulationSpec(
+                n_arrays=4,
+                technology_mix=(("PCM", 1.0),),
+                cohorts=(CohortSpec("add"), CohortSpec("add", "BsxBs")),
+                endurance_sigma=0.5,
+            )
+        )
+        store = ResultStore(tmp_path)
+        for expected in ("computed", "cached"):
+            report = FleetService(spec, store=store).run()
+            assert report.runtime["thresholds"] == expected
+            assert report.runtime["manifests"] == 2
+            assert len(store) == 0
+            assert list(store.hashes()) == []
+            shard = store.shard("fleet-thresholds")
+            assert len(shard) == 0
+            assert list(shard.iter_manifests()) == []
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["truncated", "garbage", "wrong_shape", "wrong_dtype", "empty"],
+    )
+    def test_damaged_entry_is_recomputed_and_overwritten(
+        self, tmp_path, damage
+    ):
+        spec = small_fleet_spec()
+        store = ResultStore(tmp_path)
+        cold = FleetService(spec, store=store).run()
+        [entry] = threshold_entries(store)
+        good = entry.read_bytes()
+        if damage == "truncated":
+            entry.write_bytes(good[: len(good) - 9])
+        elif damage == "garbage":
+            entry.write_bytes(b"\x00not an npy file" * 8)
+        elif damage == "wrong_shape":
+            np.save(entry, np.ones(spec.population.n_arrays + 1))
+        elif damage == "wrong_dtype":
+            np.save(entry, np.ones(spec.population.n_arrays, np.float32))
+        else:
+            entry.write_bytes(b"")
+        repaired = FleetService(spec, store=store).run()
+        assert repaired.runtime["thresholds"] == "computed"
+        assert repaired.content_hash() == cold.content_hash()
+        assert entry.read_bytes() == good
+        again = FleetService(spec, store=store).run()
+        assert again.runtime["thresholds"] == "cached"
+        assert not list(entry.parent.glob(".*tmp*"))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(seed=4),
+            dict(cohort_iterations=150),
+            dict(
+                population=PopulationSpec(
+                    n_arrays=4,
+                    technology_mix=(("PCM", 1.0),),
+                    cohorts=(CohortSpec("add"),),
+                    endurance_sigma=0.6,
+                )
+            ),
+            dict(
+                population=PopulationSpec(
+                    n_arrays=4,
+                    technology_mix=(("PCM", 1.0), ("RRAM", 1.0)),
+                    cohorts=(CohortSpec("add"),),
+                    endurance_sigma=0.5,
+                )
+            ),
+            dict(
+                population=PopulationSpec(
+                    n_arrays=4,
+                    technology_mix=(("PCM", 1.0),),
+                    cohorts=(CohortSpec("add"),),
+                    endurance_sigma=0.5,
+                    repacking=True,
+                )
+            ),
+        ],
+        ids=["seed", "cohort_iterations", "sigma", "technology_mix",
+             "repacking"],
+    )
+    def test_threshold_inputs_miss(self, tmp_path, change):
+        store = ResultStore(tmp_path)
+        FleetService(small_fleet_spec(), store=store).run()
+        report = FleetService(small_fleet_spec(**change), store=store).run()
+        assert report.runtime["thresholds"] == "computed"
+        assert len(threshold_entries(store)) == 2
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(days=5),
+            dict(traffic=TrafficSpec(model="deterministic", rate=2e5)),
+            dict(dispatch="least_worn"),
+            dict(window=4),
+        ],
+        ids=["days", "traffic", "dispatch", "window"],
+    )
+    def test_campaign_knobs_hit(self, tmp_path, change):
+        store = ResultStore(tmp_path)
+        FleetService(small_fleet_spec(), store=store).run()
+        report = FleetService(small_fleet_spec(**change), store=store).run()
+        assert report.runtime["thresholds"] == "cached"
+        assert len(threshold_entries(store)) == 1
+        assert (
+            report.content_hash()
+            == FleetService(small_fleet_spec(**change)).run().content_hash()
+        )
+
+    def test_telemetry_phase_and_counters(self, tmp_path):
+        from repro.telemetry import get_telemetry
+
+        tele = get_telemetry()
+        spec = small_fleet_spec()
+        store = ResultStore(tmp_path)
+        before = dict(tele.counters)
+
+        def delta(name):
+            return tele.counters.get(name, 0) - before.get(name, 0)
+
+        FleetService(spec, store=store).run()
+        FleetService(spec, store=store).run()
+        FleetService(spec).run()
+        assert delta("fleet.thresholds_misses") == 1
+        assert delta("fleet.thresholds_hits") == 1
+        assert "fleet.thresholds" in tele.snapshot()["phases"]
 
 
 class TestDispatchAndCapacity:
